@@ -6,7 +6,6 @@ from .capacities import (
     ObstructionReport,
     OrbitSetDescriptor,
     ball_sequence,
-    capacities_blowup,
     capacities_via_oracle,
     capacities_via_weights,
     ellipsoid_orbit_index,
@@ -14,9 +13,7 @@ from .capacities import (
     index_bijectivity_check,
     obstruction_report,
     orbit_set_index,
-    packing_closed_form,
     singular_ball_capacity,
-    singular_ball_closed_form,
     spectrum_from_orbit_indices,
     union_sequence,
 )
@@ -56,13 +53,9 @@ from .paths import (
     path_to_text,
 )
 from .weights import (
-    StandardConcaveDomain,
     WeightExpansion,
     singular_weight_expansion,
     split_domain,
-    split_standard,
-    standard_weight_expansion,
-    validate_standard,
 )
 
 __version__ = "0.1.0"

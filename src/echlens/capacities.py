@@ -15,10 +15,9 @@ from fractions import Fraction
 from math import floor
 
 from . import paths as pth
-from .domains import ConcaveDomain, max_blowup_delta, omega_length_blowup, omega_length_path, rotation_numbers
+from .domains import ConcaveDomain, admissible_delta, omega_length_blowup, rotation_numbers
 from .errors import (
     DegenerateRatio,
-    DeltaTooLarge,
     HomologyNotZero,
     InsufficientLength,
     NonPositivePeriod,
@@ -41,7 +40,6 @@ MONOTONICITY_NOTE = (
 @dataclass(frozen=True)
 class CapacitySequence:
     values: tuple  # exact rationals c_0..c_kmax
-    provenance: str  # ellipsoid | ball | union | weights | oracle | blowup
 
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
@@ -88,39 +86,27 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
         value, k1, k2 = heapq.heappop(heap)
         out.append(value)
         heapq.heappush(heap, (value + n * b, k1, k2 + n))
-    return CapacitySequence(values=tuple(out), provenance="ellipsoid")
+    return CapacitySequence(values=tuple(out))
 
 
-def ball_sequence(a, kmax: int) -> CapacitySequence:
-    """Classical ball: c_k = a*d with d maximal such that d(d+1)/2 <= k."""
+def ball_sequence(a, kmax: int, n: int = 1) -> CapacitySequence:
+    """Singular ball B_n(a) (the classical ball at n = 1): c_k = a*n*d with
+    minimal d such that 2k <= d^2 n + d(n+2); the same values as the
+    generator sequence N^n(a, a)."""
     a = Fraction(a)
     if a <= 0:
         raise NonPositivePeriod(f"ball parameter must be positive, got {a}")
+    if n < 1:
+        raise NonPositivePeriod(f"n must be a positive integer, got {n}")
     out = []
     d = 0
-    for k in range(kmax + 1):
-        while (d + 1) * (d + 2) // 2 <= k:
-            d += 1
-        out.append(a * d)
-    return CapacitySequence(values=tuple(out), provenance="ball")
-
-
-def singular_ball_closed_form(n: int, a, kmax: int) -> CapacitySequence:
-    """c_k(B_n(a)) = a*n*d with minimal d such that k <= (d^2 n + d(n+2))/2.
-
-    Cross-check for the generator route; the minimal-d reading resolves the
-    overlap of the printed index intervals at their endpoints.
-    """
-    a = Fraction(a)
-    if a <= 0:
-        raise NonPositivePeriod(f"ball parameter must be positive, got {a}")
-    out = []
-    d = 0
+    value = Fraction(0)
     for k in range(kmax + 1):
         while d * d * n + d * (n + 2) < 2 * k:
             d += 1
-        out.append(a * n * d)
-    return CapacitySequence(values=tuple(out), provenance="ball")
+            value = a * (n * d)
+        out.append(value)
+    return CapacitySequence(values=tuple(out))
 
 
 def union_sequence(sequences, kmax: int) -> CapacitySequence:
@@ -137,53 +123,24 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
         acc = [
             max(acc[i] + vals[k - i] for i in range(k + 1)) for k in range(kmax + 1)
         ]
-    return CapacitySequence(values=tuple(acc), provenance="union")
-
-
-def packing_closed_form(n: int, a0, plain_weights, kmax: int) -> CapacitySequence:
-    """Disjoint-union capacities of B_n(a0) and balls B(a_i), via the direct
-    maximization over multiplicity tuples (independent of union_sequence)."""
-    a0 = Fraction(a0)
-    plain = [Fraction(w) for w in plain_weights]
-    out = []
-    for k in range(kmax + 1):
-        best = Fraction(0)
-
-        def rec(i, budget, value):
-            nonlocal best
-            if value > best:
-                best = value
-            if i == len(plain):
-                return
-            a = plain[i]
-            d = 1
-            while d * (d + 1) // 2 <= budget:
-                rec(i + 1, budget - d * (d + 1) // 2, value + a * d)
-                d += 1
-            rec(i + 1, budget, value)
-
-        d1 = 0
-        while d1 * d1 * n - d1 * (n - 2) <= 2 * k:
-            cost = (d1 * d1 * n - d1 * (n - 2)) // 2
-            rec(0, k - cost, a0 * n * d1)
-            d1 += 1
-        out.append(best)
-    return CapacitySequence(values=tuple(out), provenance="union")
+    return CapacitySequence(values=tuple(acc))
 
 
 def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence:
     """Packing route: weight expansion, then disjoint-union of ball capacities."""
     expansion = singular_weight_expansion(domain)
-    seqs = [ellipsoid_sequence(domain.n, expansion.singular_weight, expansion.singular_weight, kmax)]
+    seqs = [ball_sequence(expansion.singular_weight, kmax, domain.n)]
     seqs.extend(ball_sequence(w, kmax) for w in expansion.plain_weights)
-    merged = union_sequence(seqs, kmax)
-    return CapacitySequence(values=merged.values, provenance="weights")
+    return union_sequence(seqs, kmax)
 
 
 def capacities_via_oracle(
-    domain: ConcaveDomain, kmax: int, budget: int = DEFAULT_ORACLE_BUDGET
+    domain: ConcaveDomain, kmax: int, budget: int = DEFAULT_ORACLE_BUDGET, delta=0
 ) -> CapacitySequence:
-    """Brute-force route: per k, maximize path length over all paths with L_n = k."""
+    """Brute-force route: per k, maximize the length l - delta*y of the
+    rational blow-up of size delta over all paths with L_n = k (delta = 0 is
+    the domain itself)."""
+    delta = admissible_delta(domain, delta)
     if kmax > budget:
         raise ResourceLimit(
             f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
@@ -193,26 +150,8 @@ def capacities_via_oracle(
     for k in range(kmax + 1):
         if not buckets[k]:
             raise AssertionError(f"no concave path with L_{domain.n} = {k}")
-        out.append(max(omega_length_path(domain, p) for p in buckets[k]))
-    return CapacitySequence(values=tuple(out), provenance="oracle")
-
-
-def capacities_blowup(
-    domain: ConcaveDomain, delta, kmax: int, budget: int = DEFAULT_ORACLE_BUDGET
-) -> CapacitySequence:
-    """Oracle route for the rational blow-up of size delta."""
-    delta = Fraction(delta)
-    if delta < 0 or (delta > 0 and delta >= max_blowup_delta(domain)):
-        raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
-    if kmax > budget:
-        raise ResourceLimit(
-            f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
-        )
-    buckets = pth.enumerate_paths_up_to(domain.n, kmax)
-    out = []
-    for k in range(kmax + 1):
         out.append(max(omega_length_blowup(domain, p, delta) for p in buckets[k]))
-    return CapacitySequence(values=tuple(out), provenance="blowup")
+    return CapacitySequence(values=tuple(out))
 
 
 def singular_ball_capacity(domain: ConcaveDomain) -> Fraction:
@@ -362,7 +301,7 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
         if (i * phi_plus).denominator == 1 or (i * phi_minus).denominator == 1:
             raise DegenerateRatio(
                 f"floor argument is an exact integer at multiplicity {i}; "
-                f"the ratio {a}/{b} is too rational for {kmax_layers} layers"
+                f"the ratio of a={a}, b={b} is too rational for {kmax_layers} layers"
             )
 
     entries.sort()

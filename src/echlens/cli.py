@@ -177,10 +177,7 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    if args.n == 1:
-        seq = cap.ball_sequence(args.a, args.kmax)
-    else:
-        seq = cap.ellipsoid_sequence(args.n, args.a, args.a, args.kmax)
+    seq = cap.ball_sequence(args.a, args.kmax, args.n)
     _render_sequence(seq, args.format, args.decimal)
     return EXIT_OK
 
@@ -247,7 +244,7 @@ def cmd_check(args) -> int:
 
 def cmd_blowup(args) -> int:
     domain = _load_domain(args.file)
-    seq = cap.capacities_blowup(domain, args.delta, args.kmax, budget=args.budget)
+    seq = cap.capacities_via_oracle(domain, args.kmax, budget=args.budget, delta=args.delta)
     _render_sequence(seq, args.format, args.decimal)
     return EXIT_OK
 

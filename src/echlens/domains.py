@@ -106,15 +106,18 @@ def max_blowup_delta(domain: ConcaveDomain) -> Fraction:
     return min(Fraction(v[1]) for v in domain.vertices)
 
 
+def admissible_delta(domain: ConcaveDomain, delta) -> Fraction:
+    """delta as a Fraction, if the blow-up of that size leaves its region
+    strictly inside the domain; delta = 0 (no blow-up) is always admissible."""
+    delta = Fraction(delta)
+    if delta < 0 or (delta > 0 and delta >= max_blowup_delta(domain)):
+        raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
+    return delta
+
+
 def omega_length_blowup(domain: ConcaveDomain, path, delta) -> Fraction:
     """Length after a rational blow-up of size delta: l - delta * y(path)."""
-    delta = Fraction(delta)
-    if delta < 0:
-        raise DeltaTooLarge("delta must be non-negative")
-    if delta > 0 and delta >= max_blowup_delta(domain):
-        raise DeltaTooLarge(
-            f"delta={delta} does not leave the blow-up region strictly inside the domain"
-        )
+    delta = admissible_delta(domain, delta)
     return omega_length_path(domain, path) - delta * path.start[0]
 
 

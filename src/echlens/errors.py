@@ -29,10 +29,6 @@ class ComplementNotConvex(DomainError):
     pass
 
 
-class InvalidDomain(DomainError):
-    pass
-
-
 class PathError(EchLensError):
     """A candidate lattice path failed validation."""
 
@@ -62,10 +58,6 @@ class DegenerateEdge(EchLensError):
 
 
 class InvalidVertex(EchLensError):
-    pass
-
-
-class RecursionLimit(EchLensError):
     pass
 
 

@@ -15,11 +15,14 @@ from .errors import ParseError
 # Points and lattice vectors are plain (x, y) pairs; a 2x2 matrix is a pair
 # of rows ((m11, m12), (m21, m22)).
 
-IDENTITY = ((1, 0), (0, 1))
 
-# The three unimodular matrices used by the weight expansion.
 def cone_change_matrix(n: int):
-    """Matrix sending the (n,1)-ray corner of the cone to the standard quadrant."""
+    """Matrix sending the (n,1)-ray corner of the cone to the standard quadrant.
+
+    SHEAR_DOWN carries the standard quadrant onto V_1, and
+    SHEAR_DOWN @ cone_change_matrix(n) = cone_change_matrix(n + 1), so
+    cone_change_matrix(n + 1) carries the corner of V_n onto V_1.
+    """
     return ((0, 1), (-1, n))
 
 
@@ -85,10 +88,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return (u[0] - v[0], u[1] - v[1])
-
-
-def vec_scale(v, r):
-    return (r * v[0], r * v[1])
 
 
 def parse_point(text: str, line: int, col: int):

@@ -127,6 +127,23 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _edge_count(n: int, x1, y1, x2, y2) -> int:
+    """Count contribution of columns x2 <= c < x1 for the edge (x1,y1)->(x2,y2):
+    lattice points of the cone on or under the edge, minus those on the edge."""
+    dx, dy = x2 - x1, y2 - y1
+    g = gcd(abs(dx), abs(dy)) if dy else abs(dx)
+    p = (-dx) // g  # primitive horizontal step
+    total = 0
+    for c in range(x2, x1):
+        top = y1 + ((c - x1) * dy) // dx  # floor of the path height at c
+        lo = _ceil_div(c, n)
+        if top >= lo:
+            total += top - lo + 1
+        if (x1 - c) % p == 0:
+            total -= 1  # lattice point on the path itself
+    return total
+
+
 def _count_columns(n: int, verts) -> int:
     """Lattice points under a leftward graph path, excluding points on the path.
 
@@ -134,20 +151,7 @@ def _count_columns(n: int, verts) -> int:
     stays in the cone; concavity is not assumed (the auxiliary paths of the
     orbit-set index are not concave).
     """
-    total = 0
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:]):
-        dx, dy = x2 - x1, y2 - y1
-        g = gcd(abs(dx), abs(dy)) if dy else abs(dx)
-        p = (-dx) // g  # primitive horizontal step
-        for c in range(x2, x1):
-            top = y1 + ((c - x1) * dy) // dx  # floor of the path height at c
-            lo = _ceil_div(c, n)
-            cnt = top - lo + 1
-            if cnt > 0:
-                total += cnt
-            if (x1 - c) % p == 0:
-                total -= 1  # lattice point on the path itself
-    return total
+    return sum(_edge_count(n, *u, *v) for u, v in zip(verts, verts[1:]))
 
 
 def lattice_count(path: IntegralPath) -> int:
@@ -198,21 +202,6 @@ def _enumerate_all(n: int, kmax: int, margin: int = 0):
     buckets = {k: [] for k in range(kmax + 1)}
     buckets[0].append(empty_path(n))
 
-    def column_block(x1, y1, x2, y2):
-        """Count contribution of columns x2 <= c < x1 for edge (x1,y1)->(x2,y2)."""
-        dx, dy = x2 - x1, y2 - y1
-        g = gcd(abs(dx), abs(dy)) if dy else abs(dx)
-        p = (-dx) // g
-        sub = 0
-        for c in range(x2, x1):
-            top = y1 + ((c - x1) * dy) // dx
-            lo = _ceil_div(c, n)
-            if top >= lo:
-                sub += top - lo + 1
-            if (x1 - c) % p == 0:
-                sub -= 1
-        return sub
-
     def extend(chain, count, last_dir):
         x1, y1 = chain[-1]
         for x2 in range(x1 - 1, -1, -1):
@@ -223,7 +212,7 @@ def _enumerate_all(n: int, kmax: int, margin: int = 0):
                 d = (dx // g, dy // g)
                 if last_dir is not None and geo.cross(last_dir, d) >= 0:
                     continue
-                new_count = count + column_block(x1, y1, x2, y2)
+                new_count = count + _edge_count(n, x1, y1, x2, y2)
                 if new_count > kmax:
                     continue
                 if x2 == 0:

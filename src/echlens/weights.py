@@ -1,9 +1,10 @@
-"""Recursive weight expansion of rational concave toric domains.
+"""Weight expansion of rational concave toric domains.
 
-The singular branch peels the largest inscribed singular-ball triangle off a
-domain in V_n and reduces the two remaining pieces to standard concave
-domains in the first quadrant; the classical branch then peels ordinary ball
-triangles.  Both terminate for rational input.
+The first peel takes the largest inscribed singular-ball triangle off a
+domain in V_n; every later peel takes a classical ball triangle off a piece.
+Each remaining piece is carried to a domain in V_1, where the classical peel
+is the singular peel at n = 1, so one peel runs on an explicit work list.
+The expansion terminates for rational input.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .domains import ConcaveDomain, domain_area
-from .errors import InvalidDomain, RecursionLimit
-
-DEFAULT_RECURSION_LIMIT = 64
-
-
-@dataclass(frozen=True)
-class StandardConcaveDomain:
-    vertices: tuple  # chain from (a, 0) on the x-axis to (0, b) on the y-axis
+from .domains import ConcaveDomain, domain_area, validate_domain
 
 
 @dataclass(frozen=True)
@@ -32,113 +25,48 @@ class WeightExpansion:
         return [self.singular_weight, *self.plain_weights]
 
 
-def validate_standard(vertices) -> StandardConcaveDomain:
-    verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
-    if len(verts) < 2:
-        raise InvalidDomain("standard domain needs at least two vertices")
-    first, last = verts[0], verts[-1]
-    if first[1] != 0 or first[0] <= 0:
-        raise InvalidDomain(f"first vertex {first} must be (a, 0) with a > 0")
-    if last[0] != 0 or last[1] <= 0:
-        raise InvalidDomain(f"last vertex {last} must be (0, b) with b > 0")
-    for i, v in enumerate(verts):
-        if v[0] < 0 or v[1] < 0:
-            raise InvalidDomain(f"vertex {v} outside the first quadrant")
-        if 0 < i < len(verts) - 1 and (v[0] == 0 or v[1] == 0):
-            raise InvalidDomain(f"interior vertex {v} touches an axis")
-    for u, v in zip(verts, verts[1:]):
-        if v[0] >= u[0]:
-            raise InvalidDomain(f"x does not strictly decrease at {u} -> {v}")
-    edges = [geo.vec_sub(v, u) for u, v in zip(verts, verts[1:])]
-    for e1, e2 in zip(edges, edges[1:]):
-        if geo.cross(e1, e2) >= 0:
-            raise InvalidDomain(f"edge slopes not strictly decreasing at {e1} -> {e2}")
-    return StandardConcaveDomain(vertices=verts)
-
-
-def _chain_suffix_from(verts, pivot):
-    idx = verts.index(pivot)
-    return verts[idx:]
-
-
-def _chain_prefix_to(verts, pivot):
-    idx = verts.index(pivot)
-    return verts[: idx + 1]
-
-
 def split_domain(domain: ConcaveDomain):
     """Peel the largest inscribed singular-ball triangle.
 
-    Returns (a, left_piece, right_piece); a piece is None when empty.  The
-    left piece drops by a; the right piece is carried to the standard quadrant
-    by translating the triangle corner a*(n,1) to the origin and applying
-    [[0,1],[-1,n]].
+    Returns (a, left_piece, right_piece); a piece is None when empty.  Both
+    pieces are domains in V_1.  The left piece is the chain from the last
+    lowest vertex on, dropped by a and sheared by SHEAR_DOWN; the right piece
+    is the chain up to the first lowest vertex, with the triangle corner
+    a*(n,1) translated to the origin and cone_change_matrix(n+1) applied.
     """
     n = domain.n
-    verts = list(domain.vertices)
-    a = min(v[1] for v in verts)
-    at_height = [v for v in verts if v[1] == a]
-    x2 = min(v[0] for v in at_height)
-    x3 = max(v[0] for v in at_height)
+    verts = domain.vertices
+    heights = [y for _, y in verts]
+    a = min(heights)
+    first = heights.index(a)
+    last = len(heights) - 1 - heights[::-1].index(a)
 
     left = None
-    left_chain = _chain_suffix_from(verts, (x2, a))
-    if len(left_chain) > 1:
-        left = validate_standard([(x, y - a) for x, y in left_chain])
+    if last < len(verts) - 1:
+        left = validate_domain(
+            1, [geo.apply_unimodular(geo.SHEAR_DOWN, (x, y - a)) for x, y in verts[last:]]
+        )
 
     right = None
-    right_chain = _chain_prefix_to(verts, (x3, a))
-    if len(right_chain) > 1:
-        m = geo.cone_change_matrix(n)
-        mapped = [geo.apply_unimodular(m, (x - n * a, y - a)) for x, y in right_chain]
-        right = validate_standard(mapped)
+    if first > 0:
+        m = geo.cone_change_matrix(n + 1)
+        right = validate_domain(
+            1, [geo.apply_unimodular(m, (x - n * a, y - a)) for x, y in verts[: first + 1]]
+        )
 
     return a, left, right
 
 
-def split_standard(domain: StandardConcaveDomain):
-    """Peel the largest inscribed ball triangle off a standard concave domain."""
-    verts = list(domain.vertices)
-    a = min(x + y for x, y in verts)
-    at_line = [v for v in verts if v[0] + v[1] == a]
-    x4 = min(v[0] for v in at_line)
-    x5 = max(v[0] for v in at_line)
-
-    left = None
-    left_chain = _chain_suffix_from(verts, (x4, a - x4))
-    if len(left_chain) > 1:
-        left = validate_standard([(x, x + y - a) for x, y in left_chain])
-
-    right = None
-    right_chain = _chain_prefix_to(verts, (x5, a - x5))
-    if len(right_chain) > 1:
-        right = validate_standard([(x + y - a, y) for x, y in right_chain])
-
-    return a, left, right
-
-
-def standard_weight_expansion(domain, limit: int = DEFAULT_RECURSION_LIMIT):
-    """Classical concave weight multiset; None stands for the empty region."""
-    if domain is None:
-        return []
-    if limit <= 0:
-        raise RecursionLimit("weight expansion recursion limit exceeded")
-    a, left, right = split_standard(domain)
-    return (
-        [a]
-        + standard_weight_expansion(left, limit - 1)
-        + standard_weight_expansion(right, limit - 1)
-    )
-
-
-def singular_weight_expansion(
-    domain: ConcaveDomain, limit: int = DEFAULT_RECURSION_LIMIT
-) -> WeightExpansion:
+def singular_weight_expansion(domain: ConcaveDomain) -> WeightExpansion:
     """One singular weight plus the classical weights of the two side pieces."""
-    a, left, right = split_domain(domain)
-    plain = standard_weight_expansion(left, limit) + standard_weight_expansion(
-        right, limit
-    )
+    a, *work = split_domain(domain)
+    plain = []
+    while work:
+        piece = work.pop()
+        if piece is not None:
+            w, *pieces = split_domain(piece)
+            plain.append(w)
+            work.extend(pieces)
     expansion = WeightExpansion(
         singular_weight=a, plain_weights=tuple(sorted(plain, reverse=True))
     )
@@ -152,6 +80,6 @@ def _check_area(domain: ConcaveDomain, expansion: WeightExpansion):
     total += sum((w * w for w in expansion.plain_weights), Fraction(0)) / 2
     area = domain_area(domain)
     if total != area:
-        raise InvalidDomain(
+        raise AssertionError(
             f"weight expansion area {total} does not match domain area {area}"
         )

@@ -49,3 +49,35 @@ def brute_path_length(domain, path):
         step = min(p[0] * dy - p[1] * dx for p in domain.vertices)
         total += mult * step
     return total
+
+
+def packing_closed_form(n, a0, plain_weights, kmax):
+    """Disjoint-union capacities of the singular ball B_n(a0) and the balls
+    B(a_i), by direct maximization over multiplicity tuples (independent of
+    the max-plus convolution).  Returns the tuple c_0..c_kmax."""
+    a0 = Fraction(a0)
+    plain = [Fraction(w) for w in plain_weights]
+    out = []
+    for k in range(kmax + 1):
+        best = Fraction(0)
+
+        def rec(i, budget, value):
+            nonlocal best
+            if value > best:
+                best = value
+            if i == len(plain):
+                return
+            a = plain[i]
+            d = 1
+            while d * (d + 1) // 2 <= budget:
+                rec(i + 1, budget - d * (d + 1) // 2, value + a * d)
+                d += 1
+            rec(i + 1, budget, value)
+
+        d1 = 0
+        while d1 * d1 * n - d1 * (n - 2) <= 2 * k:
+            cost = (d1 * d1 * n - d1 * (n - 2)) // 2
+            rec(0, k - cost, a0 * n * d1)
+            d1 += 1
+        out.append(best)
+    return tuple(out)

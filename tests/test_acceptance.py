@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import echlens as e
 from echlens import cli
-from echlens.capacities import packing_closed_form
-from helpers import brute_combination_sequence
+from helpers import brute_combination_sequence, packing_closed_form
 
 FIB = Fraction(233, 144)
 
@@ -156,14 +155,15 @@ def test_a7_blowup():
     ok = True
     for dom in (b21, example):
         ok = ok and (
-            e.capacities_blowup(dom, 0, 6).values == e.capacities_via_oracle(dom, 6).values
+            e.capacities_via_oracle(dom, 6, delta=0).values
+            == e.capacities_via_weights(dom, 6).values
         )
     unblown = e.capacities_via_oracle(b21, 6)
     for delta in (Fraction(1, 8), Fraction(1, 4)):
-        blown = e.capacities_blowup(b21, delta, 6)
+        blown = e.capacities_via_oracle(b21, 6, delta=delta)
         ok = ok and all(blown[k] <= unblown[k] for k in range(7))
-    ok = ok and e.capacities_blowup(b21, Fraction(1, 4), 1)[1] == Fraction(3, 2)
-    _report("A7", ok, "delta=0 identity, pointwise bound, c_1 = 3/2 at delta=1/4")
+    ok = ok and e.capacities_via_oracle(b21, 1, delta=Fraction(1, 4))[1] == Fraction(3, 2)
+    _report("A7", ok, "delta=0 matches the packing route, pointwise bound, c_1 = 3/2 at delta=1/4")
 
 
 def test_a8_index_bijectivity_and_spectrum():
@@ -190,7 +190,7 @@ def test_a9_union_against_closed_form():
         ]
         seqs = [e.ellipsoid_sequence(n, a1, a1, 30)]
         seqs.extend(e.ball_sequence(w, 30) for w in plain)
-        if e.union_sequence(seqs, 30).values != packing_closed_form(n, a1, plain, 30).values:
+        if e.union_sequence(seqs, 30).values != packing_closed_form(n, a1, plain, 30):
             ok = False
             break
     _report("A9", ok, "100 random weight lists, k <= 30")

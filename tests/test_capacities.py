@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens.capacities import DEFAULT_ORACLE_BUDGET, packing_closed_form, singular_ball_closed_form
+from echlens.capacities import DEFAULT_ORACLE_BUDGET
 from echlens.errors import (
     DegenerateRatio,
     DeltaTooLarge,
@@ -13,7 +13,7 @@ from echlens.errors import (
     NonPositivePeriod,
     ResourceLimit,
 )
-from helpers import brute_combination_sequence
+from helpers import brute_combination_sequence, packing_closed_form
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 B22 = e.validate_domain(2, [(4, 2), (0, 2)])
@@ -67,7 +67,7 @@ class TestBallSequence:
         for n in (1, 2, 3, 4):
             for a in (1, Fraction(2, 3)):
                 assert (
-                    singular_ball_closed_form(n, a, 40).values
+                    e.ball_sequence(a, 40, n).values
                     == e.ellipsoid_sequence(n, a, a, 40).values
                 )
 
@@ -149,24 +149,30 @@ class TestOracleRoute:
 
 class TestBlowup:
     def test_delta_zero(self):
+        # the blow-up of size 0 of the ball B_2(2) is the ball itself
         assert (
-            e.capacities_blowup(EXAMPLE, 0, 5).values
-            == e.capacities_via_oracle(EXAMPLE, 5).values
+            e.capacities_via_oracle(B22, 5, delta=0).values
+            == e.ellipsoid_sequence(2, 2, 2, 5).values
         )
 
     def test_worked_example(self):
-        assert e.capacities_blowup(B21, Fraction(1, 4), 1)[1] == Fraction(3, 2)
+        assert e.capacities_via_oracle(B21, 1, delta=Fraction(1, 4))[1] == Fraction(3, 2)
 
     def test_monotone_in_delta(self):
-        base = e.capacities_blowup(B21, 0, 5)
-        small = e.capacities_blowup(B21, Fraction(1, 8), 5)
-        large = e.capacities_blowup(B21, Fraction(1, 4), 5)
+        base = e.capacities_via_oracle(B21, 5, delta=0)
+        small = e.capacities_via_oracle(B21, 5, delta=Fraction(1, 8))
+        large = e.capacities_via_oracle(B21, 5, delta=Fraction(1, 4))
         for k in range(6):
             assert base[k] >= small[k] >= large[k]
 
     def test_delta_too_large(self):
         with pytest.raises(DeltaTooLarge):
-            e.capacities_blowup(B21, 1, 3)
+            e.capacities_via_oracle(B21, 3, delta=1)
+        with pytest.raises(DeltaTooLarge):
+            e.capacities_via_oracle(B21, 3, delta=Fraction(-1, 2))
+        # checked before the budget and the enumeration
+        with pytest.raises(DeltaTooLarge):
+            e.capacities_via_oracle(B21, DEFAULT_ORACLE_BUDGET + 1, delta=1)
 
 
 class TestSingularBallCapacity:
@@ -268,6 +274,10 @@ class TestBijectivity:
         with pytest.raises(DegenerateRatio):
             e.index_bijectivity_check(2, 1, 1, 1)
 
+    def test_degenerate_ratio_message_names_both_parameters(self):
+        with pytest.raises(DegenerateRatio, match="a=1/7, b=1000/7"):
+            e.index_bijectivity_check(2, Fraction(1, 7), Fraction(1000, 7), 2)
+
     def test_zero_layers(self):
         ok, cert = e.index_bijectivity_check(2, 1, 1, 0)
         assert ok
@@ -291,17 +301,14 @@ class TestClosedFormUnion:
             ]
             seqs = [e.ellipsoid_sequence(n, a1, a1, 20)]
             seqs.extend(e.ball_sequence(w, 20) for w in plain)
-            assert (
-                e.union_sequence(seqs, 20).values
-                == packing_closed_form(n, a1, plain, 20).values
-            )
+            assert e.union_sequence(seqs, 20).values == packing_closed_form(n, a1, plain, 20)
 
 
 class TestCapacitySequenceInvariants:
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError):
-            e.CapacitySequence(values=(1, 2), provenance="ball")
+            e.CapacitySequence(values=(1, 2))
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
-            e.CapacitySequence(values=(0, 2, 1), provenance="ball")
+            e.CapacitySequence(values=(0, 2, 1))

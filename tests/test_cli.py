@@ -1,6 +1,6 @@
 import pytest
 
-from echlens import cli
+from echlens import cli, weights
 
 
 @pytest.fixture
@@ -14,6 +14,13 @@ def domain_file(tmp_path):
 def ball_file(tmp_path):
     path = tmp_path / "b21.dom"
     path.write_text("n = 2\nvertices = (2,1) (0,1)\n")
+    return str(path)
+
+
+@pytest.fixture
+def thin_file(tmp_path):
+    path = tmp_path / "thin.dom"
+    path.write_text("n = 1\nvertices = (1,1) (0,100)\n")
     return str(path)
 
 
@@ -69,6 +76,16 @@ class TestBall:
         assert code == 0
         assert out.splitlines()[1:] == ["0  0", "1  2", "2  2"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_ellipsoid(self, capsys, n):
+        ball = run(capsys, ["ball", "--n", str(n), "--a", "7/4", "--kmax", "200"])
+        ellipsoid = run(
+            capsys,
+            ["ellipsoid", "--n", str(n), "--a", "7/4", "--b", "7/4", "--kmax", "200"],
+        )
+        assert ball[0] == 0
+        assert ball == ellipsoid
+
 
 class TestDomain:
     def test_both_routes_agree(self, capsys, domain_file):
@@ -94,6 +111,11 @@ class TestDomain:
         code, _, err = run(capsys, ["domain", "/nonexistent.dom"])
         assert code == 2
 
+    def test_thin_domain_routes_agree(self, capsys, thin_file):
+        code, out, _ = run(capsys, ["domain", thin_file, "--kmax", "10", "--method", "both"])
+        assert code == 0
+        assert out.endswith("DIFF: none\n")
+
     def test_budget_exit_3(self, capsys, ball_file):
         code, _, err = run(capsys, ["domain", ball_file, "--kmax", "20", "--method", "oracle"])
         assert code == 3
@@ -105,6 +127,18 @@ class TestWeights:
         code, out, _ = run(capsys, ["weights", domain_file])
         assert code == 0
         assert out == "singular 2\nplain 1\n"
+
+    def test_thin_domain(self, capsys, thin_file):
+        code, out, _ = run(capsys, ["weights", thin_file])
+        assert code == 0
+        assert out == "singular 1\n" + "plain 1\n" * 99
+
+    def test_area_mismatch_is_internal_error(self, capsys, monkeypatch, domain_file):
+        monkeypatch.setattr(weights, "domain_area", lambda domain: 0)
+        code, out, err = run(capsys, ["weights", domain_file])
+        assert code == 4
+        assert out == ""
+        assert "does not match domain area" in err
 
 
 class TestCheck:

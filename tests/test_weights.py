@@ -4,31 +4,39 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens.errors import InvalidDomain, RecursionLimit
+from echlens.errors import (
+    ComplementNotConvex,
+    EmptyBoundary,
+    EndpointNotOnRay,
+    VertexOutsideCone,
+)
 
 
 def standard(vertices):
-    return e.validate_standard(vertices)
+    """A first-quadrant chain from (a, 0) to (0, b), carried onto V_1 by the
+    shear (x, y) -> (x, x + y); the peels of the expansion act on these."""
+    return e.validate_domain(1, [(x, x + y) for x, y in vertices])
 
 
 class TestValidateStandard:
     def test_triangle(self):
         dom = standard([(2, 0), (0, 1)])
-        assert dom.vertices == ((2, 0), (0, 1))
+        assert dom.vertices == ((2, 2), (0, 1))
 
     @pytest.mark.parametrize(
-        "vertices",
+        "vertices, error",
         [
-            [(2, 0)],
-            [(0, 1), (2, 0)],  # wrong orientation
-            [(2, 1), (0, 1)],  # first vertex off the x-axis
-            [(2, 0), (1, 0), (0, 1)],  # interior vertex on an axis
-            [(2, 0), (1, 2), (0, 3)],  # slopes not strictly decreasing
+            ([(2, 0)], EmptyBoundary),
+            ([(0, 1), (2, 0)], EndpointNotOnRay),  # wrong orientation
+            ([(2, 1), (0, 1)], EndpointNotOnRay),  # first vertex off the x-axis
+            ([(2, 0), (1, 0), (0, 1)], VertexOutsideCone),  # interior vertex on an axis
+            ([(2, 0), (1, 2), (0, 3)], ComplementNotConvex),  # slopes not strictly decreasing
         ],
+        ids=[f"vertices{i}" for i in range(5)],
     )
-    def test_rejects(self, vertices):
-        with pytest.raises(InvalidDomain):
-            e.validate_standard(vertices)
+    def test_rejects(self, vertices, error):
+        with pytest.raises(error):
+            standard(vertices)
 
 
 class TestSplitDomain:
@@ -41,7 +49,7 @@ class TestSplitDomain:
         dom = e.validate_domain(2, [(4, 2), (2, 2), (0, 3)])
         a, left, right = e.split_domain(dom)
         assert a == 2
-        assert left.vertices == ((2, 0), (0, 1))  # the y-axis side, dropped by a
+        assert left == standard([(2, 0), (0, 1)])  # the y-axis side, dropped by a
         assert right is None
 
     def test_right_piece_only(self):
@@ -49,45 +57,54 @@ class TestSplitDomain:
         a, left, right = e.split_domain(dom)
         assert a == 2
         assert left is None
-        assert right.vertices == ((1, 0), (0, 1))
+        assert right == standard([(1, 0), (0, 1)])
 
 
 class TestSplitStandard:
     def test_ball(self):
-        a, left, right = e.split_standard(standard([(3, 0), (0, 3)]))
+        a, left, right = e.split_domain(standard([(3, 0), (0, 3)]))
         assert (a, left, right) == (3, None, None)
 
     def test_ellipsoid_21(self):
-        a, left, right = e.split_standard(standard([(2, 0), (0, 1)]))
+        a, left, right = e.split_domain(standard([(2, 0), (0, 1)]))
         assert a == 1
         assert left is None
-        assert right.vertices == ((1, 0), (0, 1))
+        assert right == standard([(1, 0), (0, 1)])
 
     def test_corner_touch(self):
         # the supporting line x+y=a meets the boundary at a single vertex
-        a, left, right = e.split_standard(standard([(3, 0), (1, 1), (0, 3)]))
+        a, left, right = e.split_domain(standard([(3, 0), (1, 1), (0, 3)]))
         assert a == 2
-        assert left.vertices == ((1, 0), (0, 1))
-        assert right.vertices == ((1, 0), (0, 1))
+        assert left == standard([(1, 0), (0, 1)])
+        assert right == standard([(1, 0), (0, 1)])
+
+
+def expand_standard(vertices):
+    return sorted(e.singular_weight_expansion(standard(vertices)).as_multiset())
 
 
 class TestStandardExpansion:
     def test_ball(self):
-        assert e.standard_weight_expansion(standard([(5, 0), (0, 5)])) == [5]
+        assert expand_standard([(5, 0), (0, 5)]) == [5]
 
     def test_ellipsoids(self):
-        assert sorted(e.standard_weight_expansion(standard([(2, 0), (0, 1)]))) == [1, 1]
-        assert sorted(e.standard_weight_expansion(standard([(3, 0), (0, 1)]))) == [1, 1, 1]
+        assert expand_standard([(2, 0), (0, 1)]) == [1, 1]
+        assert expand_standard([(3, 0), (0, 1)]) == [1, 1, 1]
 
     def test_empty(self):
-        assert e.standard_weight_expansion(None) == []
-
-    def test_recursion_limit(self):
-        with pytest.raises(RecursionLimit):
-            e.standard_weight_expansion(standard([(2, 0), (0, 1)]), limit=1)
+        # a triangle leaves no piece, so no plain weight
+        assert e.split_domain(standard([(5, 0), (0, 5)]))[1:] == (None, None)
+        assert e.singular_weight_expansion(standard([(5, 0), (0, 5)])).plain_weights == ()
 
 
 class TestSingularExpansion:
+    @pytest.mark.parametrize("m", [100, 2000])
+    def test_thin_domain_has_no_depth_cap(self, m):
+        # (1,1)(0,m) peels one triangle per unit of height: m - 1 nested pieces
+        w = e.singular_weight_expansion(e.validate_domain(1, [(1, 1), (0, m)]))
+        assert w.singular_weight == 1
+        assert w.plain_weights == (1,) * (m - 1)
+
     def test_triangle(self):
         dom = e.validate_domain(2, [(4, 2), (0, 2)])
         w = e.singular_weight_expansion(dom)
