@@ -13,7 +13,6 @@ from .capacities import (
     index_bijectivity_check,
     obstruction_report,
     orbit_set_index,
-    singular_ball_capacity,
     spectrum_from_orbit_indices,
     union_sequence,
 )
@@ -24,13 +23,13 @@ from .domains import (
     boundary_height,
     contains_point,
     domain_area,
-    max_blowup_delta,
     omega_length_blowup,
     omega_length_edge,
     omega_length_path,
     parse_domain_file,
     rotation_numbers,
     scale_domain,
+    singular_ball_capacity,
     validate_domain,
 )
 from .errors import EchLensError
@@ -45,7 +44,6 @@ from .paths import (
     enumerate_paths_up_to,
     generator_index,
     homology_class,
-    is_concave_path,
     lattice_count,
     make_path,
     parse_path_text,

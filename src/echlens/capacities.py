@@ -154,11 +154,6 @@ def capacities_via_oracle(
     return CapacitySequence(values=tuple(out))
 
 
-def singular_ball_capacity(domain: ConcaveDomain) -> Fraction:
-    """Largest a with the singular ball B_n(a) included in the domain."""
-    return singular_weight_expansion(domain).singular_weight
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     kmax: int

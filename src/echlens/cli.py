@@ -17,7 +17,7 @@ from . import paths as pth
 from .checks import DEFAULT_SEED, run_check
 from .domains import parse_domain_file
 from .errors import EchLensError, ResourceLimit
-from .geometry import format_rational, parse_rational
+from .geometry import format_point, format_rational, parse_rational
 from .weights import singular_weight_expansion
 
 EXIT_OK = 0
@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=_nonneg_int, default=8)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--file", default=None, help="check this domain instead of random ones")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("blowup", help="capacities of a rational blow-up")
     p.add_argument("file")
@@ -227,14 +226,13 @@ def cmd_check(args) -> int:
         kmax=args.kmax,
         seed=args.seed,
         domain=domain,
-        corrupt=args.corrupt,
     )
     print(f"seed {result.seed}")
     if result.passed:
         print(f"PASS trials={result.trials} kmax={result.kmax}")
         return EXIT_OK
     trial, k, wv, ov, dom = result.failure
-    verts = " ".join(f"({format_rational(x)},{format_rational(y)})" for x, y in dom.vertices)
+    verts = " ".join(format_point(v) for v in dom.vertices)
     print(
         f"FAIL trial={trial} k={k} weights={format_rational(wv)} "
         f"oracle={format_rational(ov)} n={dom.n} vertices={verts}"

@@ -59,27 +59,36 @@ def validate_domain(n: int, vertices) -> ConcaveDomain:
     """Validate a raw vertex chain, raising the first violated invariant."""
     if n < 1:
         raise VertexOutsideCone(f"n must be a positive integer, got {n}")
-    verts = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+    # Integer coordinates are checked as ints: every lattice path is validated
+    # here, and int arithmetic is several times cheaper than Fraction's.
+    verts = tuple((_exact(x), _exact(y)) for x, y in vertices)
     if len(verts) < 2:
         raise EmptyBoundary("boundary needs at least two vertices")
+    fmt = geo.format_point
     first, last = verts[0], verts[-1]
     if first[0] != n * first[1] or first[1] <= 0:
-        raise EndpointNotOnRay(f"first vertex {first} is not a0*({n},1) with a0 > 0")
+        raise EndpointNotOnRay(f"first vertex {fmt(first)} is not a0*({n},1) with a0 > 0")
     if last[0] != 0 or last[1] <= 0:
-        raise EndpointNotOnRay(f"last vertex {last} is not (0, a1) with a1 > 0")
+        raise EndpointNotOnRay(f"last vertex {fmt(last)} is not (0, a1) with a1 > 0")
     for i, v in enumerate(verts):
         if not geo.in_cone(v, n):
-            raise VertexOutsideCone(f"vertex {v} outside the cone V_{n}")
+            raise VertexOutsideCone(f"vertex {fmt(v)} outside the cone V_{n}")
         if 0 < i < len(verts) - 1 and not geo.strictly_in_cone(v, n):
-            raise VertexOutsideCone(f"interior vertex {v} lies on the cone boundary")
+            raise VertexOutsideCone(f"interior vertex {fmt(v)} lies on the cone boundary")
     for u, v in zip(verts, verts[1:]):
         if v[0] >= u[0]:
-            raise NotGraphOfFunction(f"x does not strictly decrease at {u} -> {v}")
+            raise NotGraphOfFunction(f"x does not strictly decrease at {fmt(u)} -> {fmt(v)}")
     edges = [geo.vec_sub(v, u) for u, v in zip(verts, verts[1:])]
     for e1, e2 in zip(edges, edges[1:]):
         if geo.cross(e1, e2) >= 0:
-            raise ComplementNotConvex(f"edge slopes not strictly decreasing at {e1} -> {e2}")
-    return ConcaveDomain(n=n, vertices=verts)
+            raise ComplementNotConvex(
+                f"edge slopes not strictly decreasing at {fmt(e1)} -> {fmt(e2)}"
+            )
+    return ConcaveDomain(n=n, vertices=tuple((Fraction(x), Fraction(y)) for x, y in verts))
+
+
+def _exact(x):
+    return x if isinstance(x, int) else Fraction(x)
 
 
 def omega_length_edge(domain: ConcaveDomain, v) -> Fraction:
@@ -101,8 +110,9 @@ def omega_length_path(domain: ConcaveDomain, path) -> Fraction:
     return total
 
 
-def max_blowup_delta(domain: ConcaveDomain) -> Fraction:
-    """Largest t with the singular ball triangle of size t weakly inside the domain."""
+def singular_ball_capacity(domain: ConcaveDomain) -> Fraction:
+    """Largest a with the singular ball B_n(a) included in the domain: the
+    triangle of size a fits exactly when it stays under the lowest vertex."""
     return min(Fraction(v[1]) for v in domain.vertices)
 
 
@@ -110,7 +120,7 @@ def admissible_delta(domain: ConcaveDomain, delta) -> Fraction:
     """delta as a Fraction, if the blow-up of that size leaves its region
     strictly inside the domain; delta = 0 (no blow-up) is always admissible."""
     delta = Fraction(delta)
-    if delta < 0 or (delta > 0 and delta >= max_blowup_delta(domain)):
+    if delta < 0 or (delta > 0 and delta >= singular_ball_capacity(domain)):
         raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
     return delta
 

@@ -46,6 +46,11 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_point(p) -> str:
+    """`(x,y)` in the rational syntax of the domain files."""
+    return f"({format_rational(p[0])},{format_rational(p[1])})"
+
+
 def cross(u, v):
     """u.x * v.y - u.y * v.x; the single orientation convention of the library."""
     return u[0] * v[1] - u[1] * v[0]

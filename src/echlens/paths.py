@@ -2,6 +2,8 @@
 
 A path runs from a lattice point M*(n,1) on the ray to a lattice point on the
 y-axis, with leftward primitive edge directions of strictly increasing slope.
+Its vertices are exactly a lattice concave chain, so a path is validated as a
+domain boundary by `domains.validate_domain`.
 The enclosed lattice count L_n, exhaustive bounded enumeration, corner
 corounding, homology classes, and the combinatorial index of labeled
 generators all live here.
@@ -11,11 +13,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from . import geometry as geo
-from .errors import InvalidVertex, PathError, ZeroEdge
+from .domains import boundary_height, validate_domain
+from .errors import DomainError, InvalidVertex, PathError, ZeroEdge
 
 
 @dataclass(frozen=True)
@@ -53,58 +55,29 @@ def empty_path(n: int) -> IntegralPath:
     return IntegralPath(n=n, start=(0, 0), edges=())
 
 
-def path_violation(n: int, start, edges):
-    """Return None if (start, edges) is a valid concave path, else a reason string."""
-    if n < 1:
-        return f"n must be positive, got {n}"
-    sx, sy = start
-    if sx != n * sy or sy < 0:
-        return f"start {start} is not M*({n},1) with M >= 0"
-    if not edges:
-        return None if start == (0, 0) else "path without edges must be the empty path at the origin"
-    if start == (0, 0):
-        return "non-empty path cannot start at the origin"
-    for (d, m) in edges:
-        if d == (0, 0):
-            return "zero edge direction"
-        if d[0] >= 0:
-            return f"direction {d} must have negative x-component"
-        if not geo.is_primitive(d):
-            return f"direction {d} is not primitive"
-        if m < 1:
-            return f"multiplicity {m} must be positive"
-    dirs = [d for d, _ in edges]
-    if len(set(dirs)) != len(dirs):
-        return "directions must be pairwise distinct"
-    for d1, d2 in zip(dirs, dirs[1:]):
-        # slopes q/p for (-p, q) strictly increasing <=> cross(d1, d2) < 0
-        if geo.cross(d1, d2) >= 0:
-            return f"edge slopes not strictly increasing at {d1} -> {d2}"
-    verts = IntegralPath(n=n, start=tuple(start), edges=tuple(edges)).vertices()
-    end = verts[-1]
-    if end[0] != 0 or end[1] < 0:
-        return f"path must end on the y-axis, ends at {end}"
-    for i, v in enumerate(verts):
-        if not geo.in_cone(v, n):
-            return f"vertex {v} outside the cone"
-        if i > 0 and n * v[1] == v[0]:
-            return f"vertex {v} revisits the (n,1)-ray"
-        if i < len(verts) - 1 and i > 0 and v[0] == 0:
-            return f"vertex {v} touches the y-axis before the end"
-    return None
-
-
-def is_concave_path(n: int, start, edges):
-    """Validate path invariants; returns (ok, first_violation_or_None)."""
-    reason = path_violation(n, start, edges)
-    return reason is None, reason
+def _boundary(path: IntegralPath):
+    """The path's vertices as a validated domain boundary chain in V_n."""
+    try:
+        return validate_domain(path.n, path.vertices())
+    except DomainError as exc:
+        raise PathError(str(exc)) from exc
 
 
 def make_path(n: int, start, edges) -> IntegralPath:
-    reason = path_violation(n, start, edges)
-    if reason is not None:
-        raise PathError(reason)
-    return IntegralPath(n=n, start=tuple(start), edges=tuple(edges))
+    """The empty path at the origin, or a path with primitive directions and
+    positive multiplicities whose vertices validate_domain accepts as a
+    boundary chain of V_n (so it starts at M*(n,1) with M > 0)."""
+    if n < 1:
+        raise PathError(f"n must be positive, got {n}")
+    for d, m in edges:
+        if not geo.is_primitive(d):
+            raise PathError(f"direction {geo.format_point(d)} is not primitive")
+        if m < 1:
+            raise PathError(f"multiplicity {m} must be positive")
+    path = IntegralPath(n=n, start=tuple(start), edges=tuple(edges))
+    if path != empty_path(n):
+        _boundary(path)
+    return path
 
 
 def path_from_vertices(n: int, verts) -> IntegralPath:
@@ -257,21 +230,13 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
     corner = verts[vertex_index]
     n = path.n
     sx = path.start[0]
-    ymax = max(v[1] for v in verts)
+    boundary = _boundary(path)
 
     # Per-column lowest lattice point of the upper region, skipping the corner;
     # plus ray columns beyond the start so the hull rides the (n,1)-direction.
     candidates = []
-    vv = verts
     for c in range(0, sx + 1):
-        # exact path height at column c
-        for (x1, y1), (x2, y2) in zip(vv, vv[1:]):
-            if x2 <= c <= x1:
-                h = Fraction(y1) + Fraction((c - x1) * (y2 - y1), x2 - x1) if x1 != x2 else Fraction(y1)
-                break
-        else:
-            h = Fraction(vv[0][1])
-        ymin = _ceil_div(h.numerator, h.denominator)
+        ymin = ceil(boundary_height(boundary, c))
         if (c, ymin) == corner:
             ymin += 1
         candidates.append((c, ymin))

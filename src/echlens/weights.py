@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
-from .domains import ConcaveDomain, domain_area, validate_domain
+from .domains import ConcaveDomain, domain_area, singular_ball_capacity, validate_domain
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -33,28 +34,37 @@ def split_domain(domain: ConcaveDomain):
     lowest vertex on, dropped by a and sheared by SHEAR_DOWN; the right piece
     is the chain up to the first lowest vertex, with the triangle corner
     a*(n,1) translated to the origin and cone_change_matrix(n+1) applied.
+    A piece that fails validation is a broken invariant (AssertionError),
+    not bad input.
     """
     n = domain.n
     verts = domain.vertices
+    a = singular_ball_capacity(domain)
     heights = [y for _, y in verts]
-    a = min(heights)
     first = heights.index(a)
     last = len(heights) - 1 - heights[::-1].index(a)
 
     left = None
     if last < len(verts) - 1:
-        left = validate_domain(
-            1, [geo.apply_unimodular(geo.SHEAR_DOWN, (x, y - a)) for x, y in verts[last:]]
+        left = _piece(
+            [geo.apply_unimodular(geo.SHEAR_DOWN, (x, y - a)) for x, y in verts[last:]]
         )
 
     right = None
     if first > 0:
         m = geo.cone_change_matrix(n + 1)
-        right = validate_domain(
-            1, [geo.apply_unimodular(m, (x - n * a, y - a)) for x, y in verts[: first + 1]]
+        right = _piece(
+            [geo.apply_unimodular(m, (x - n * a, y - a)) for x, y in verts[: first + 1]]
         )
 
     return a, left, right
+
+
+def _piece(vertices) -> ConcaveDomain:
+    try:
+        return validate_domain(1, vertices)
+    except DomainError as exc:
+        raise AssertionError(f"peeled piece is not a V_1 domain: {exc}") from exc
 
 
 def singular_weight_expansion(domain: ConcaveDomain) -> WeightExpansion:

@@ -1,6 +1,6 @@
 import pytest
 
-from echlens import cli, weights
+from echlens import capacities, checks, cli, geometry, weights
 
 
 @pytest.fixture
@@ -116,6 +116,14 @@ class TestDomain:
         assert code == 0
         assert out.endswith("DIFF: none\n")
 
+    def test_validation_error_prints_points(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dom"
+        bad.write_text("n = 2\nvertices = (3,1) (0,2)\n")
+        code, _, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
+        assert code == 2
+        assert "first vertex (3,1)" in err
+        assert "Fraction(" not in err
+
     def test_budget_exit_3(self, capsys, ball_file):
         code, _, err = run(capsys, ["domain", ball_file, "--kmax", "20", "--method", "oracle"])
         assert code == 3
@@ -140,6 +148,13 @@ class TestWeights:
         assert out == ""
         assert "does not match domain area" in err
 
+    def test_bad_peeled_piece_is_internal_error(self, capsys, monkeypatch, domain_file):
+        monkeypatch.setattr(geometry, "cone_change_matrix", lambda n: ((1, 0), (0, 1)))
+        code, out, err = run(capsys, ["weights", domain_file])
+        assert code == 4
+        assert out == ""
+        assert "peeled piece" in err
+
 
 class TestCheck:
     def test_random_pass(self, capsys):
@@ -153,11 +168,14 @@ class TestCheck:
         assert code == 0
         assert "PASS" in out
 
-    def test_corrupt_hook_fails(self, capsys, ball_file):
-        code, out, _ = run(
-            capsys,
-            ["check", "--trials", "1", "--kmax", "5", "--file", ball_file, "--corrupt"],
-        )
+    def test_corrupt_hook_fails(self, capsys, monkeypatch, ball_file):
+        def perturbed(domain, kmax):
+            values = list(capacities.capacities_via_oracle(domain, kmax).values)
+            values[1] += 1
+            return values
+
+        monkeypatch.setattr(checks, "capacities_via_oracle", perturbed)
+        code, out, _ = run(capsys, ["check", "--trials", "1", "--kmax", "5", "--file", ball_file])
         assert code == 4
         assert "FAIL" in out
         assert "k=1" in out
@@ -205,6 +223,13 @@ class TestIndex:
         )
         assert code == 0
         assert out == "I = 6\n"
+
+    def test_bad_path_exit_2(self, capsys, domain_file):
+        code, _, err = run(
+            capsys, ["index", "orbit", domain_file, "--path", "start=(3,1); edges=[(-3,1)x1]"]
+        )
+        assert code == 2
+        assert "first vertex (3,1)" in err
 
     def test_homology_error(self, capsys, domain_file):
         code, _, err = run(capsys, ["index", "orbit", domain_file, "--m-plus", "1"])

@@ -134,7 +134,7 @@ class TestBlowup:
         assert e.omega_length_blowup(B21, p, Fraction(1, 4)) == Fraction(3, 2)
 
     def test_max_delta(self):
-        assert e.max_blowup_delta(EXAMPLE) == 2
+        assert e.singular_ball_capacity(EXAMPLE) == 2
 
     def test_delta_too_large(self):
         with pytest.raises(DeltaTooLarge):

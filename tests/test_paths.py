@@ -32,6 +32,7 @@ class TestConstruction:
             ((2, 1), (((-1, 1), 1), ((-1, 0), 1))),  # slopes decreasing
             ((4, 2), (((-1, -1), 2), ((-1, 1), 2))),  # touches ray midway
             ((0, 0), (((-1, 0), 0),)),  # zero multiplicity
+            ((2, 1), (((-2, -1), 1),)),  # ends at the apex
         ],
     )
     def test_rejects(self, start, edges):
@@ -39,10 +40,9 @@ class TestConstruction:
             e.make_path(2, start, edges)
 
     def test_is_concave_path(self):
-        ok, reason = e.is_concave_path(2, (2, 1), (((-2, 1), 1),))
-        assert ok and reason is None
-        ok, reason = e.is_concave_path(2, (4, 2), ())
-        assert not ok and "empty" in reason
+        assert e.make_path(2, (2, 1), (((-2, 1), 1),)).end == (0, 2)
+        with pytest.raises(PathError):
+            e.make_path(2, (4, 2), ())
 
     def test_from_vertices_collapses(self):
         p = e.path_from_vertices(2, [(4, 2), (3, 2), (2, 2), (0, 3)])
