@@ -40,7 +40,6 @@ from .paths import (
     coround_corner,
     displacement,
     empty_path,
-    enumerate_paths,
     enumerate_paths_up_to,
     generator_index,
     homology_class,

@@ -44,12 +44,13 @@ class CapacitySequence:
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if vals:
-            if vals[0] != 0:
-                raise ValueError(f"c_0 must be 0, got {vals[0]}")
-            for k in range(len(vals) - 1):
-                if vals[k] > vals[k + 1]:
-                    raise ValueError(f"sequence decreases at k={k}")
+        if not vals:
+            raise ValueError("a capacity sequence holds c_0..c_kmax, got no values")
+        if vals[0] != 0:
+            raise ValueError(f"c_0 must be 0, got {vals[0]}")
+        for k in range(len(vals) - 1):
+            if vals[k] > vals[k + 1]:
+                raise ValueError(f"sequence decreases at k={k}")
 
     def __getitem__(self, k):
         return self.values[k]
@@ -66,8 +67,6 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
         raise NonPositivePeriod(f"n must be a positive integer, got {n}")
-    if kmax < 0:
-        raise ValueError("kmax must be non-negative")
 
     def row_head(k1):
         k2 = (-k1) % n

@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--kmax", type=_nonneg_int, default=8)
-    p.add_argument("--budget", type=_nonneg_int, default=cap.DEFAULT_ORACLE_BUDGET)
 
     p = sub.add_parser("index", help="ECH index of an orbit set")
     isub = p.add_subparsers(dest="index_kind", required=True)

@@ -2,11 +2,12 @@
 
 A path runs from a lattice point M*(n,1) on the ray to a lattice point on the
 y-axis, with leftward primitive edge directions of strictly increasing slope.
-Its vertices are exactly a lattice concave chain, so a path is validated as a
-domain boundary by `domains.validate_domain`.
-The enclosed lattice count L_n, exhaustive bounded enumeration, corner
-corounding, homology classes, and the combinatorial index of labeled
-generators all live here.
+Its vertices are exactly a lattice concave chain, so a path given by a caller
+is validated as a domain boundary by `domains.validate_domain`.
+The enclosed lattice count L_n, the enumeration of all paths up to a count
+(one cached search per n, in which each column's heights run from the slope
+bound to the first count overrun), corner corounding, homology classes, and
+the combinatorial index of labeled generators all live here.
 """
 
 from __future__ import annotations
@@ -96,25 +97,12 @@ def path_from_vertices(n: int, verts) -> IntegralPath:
     return make_path(n, verts[0] if verts else (0, 0), tuple(edges))
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _edge_count(n: int, x1, y1, x2, y2) -> int:
     """Count contribution of columns x2 <= c < x1 for the edge (x1,y1)->(x2,y2):
-    lattice points of the cone on or under the edge, minus those on the edge."""
-    dx, dy = x2 - x1, y2 - y1
-    g = gcd(abs(dx), abs(dy)) if dy else abs(dx)
-    p = (-dx) // g  # primitive horizontal step
-    total = 0
-    for c in range(x2, x1):
-        top = y1 + ((c - x1) * dy) // dx  # floor of the path height at c
-        lo = _ceil_div(c, n)
-        if top >= lo:
-            total += top - lo + 1
-        if (x1 - c) % p == 0:
-            total -= 1  # lattice point on the path itself
-    return total
+    the lattice points of the cone strictly below the edge, ceil(h(c)) -
+    ceil(c/n) in column c, where h is the edge's height."""
+    dy, w = y2 - y1, x1 - x2
+    return sum(y1 - ((c - x1) * dy) // w + (-c) // n for c in range(x2, x1))
 
 
 def _count_columns(n: int, verts) -> int:
@@ -156,61 +144,54 @@ def generator_index(gen: ConcaveGenerator) -> int:
 # Exhaustive enumeration
 
 
-_ENUM_CACHE = {}
+_ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
 
 
-def _enumerate_all(n: int, kmax: int, margin: int = 0):
-    """All concave paths with L_n <= kmax, bucketed by L_n.
+def _enumerate_all(n: int, kmax: int):
+    """All concave paths with L_n <= kmax, bucketed by L_n into tuples.
 
-    Search box: start multiple M <= kmax + margin, heights <= kmax + 1 + margin.
-    A path from M*(n,1) encloses the M ray points below its start and the end
-    height many axis points below its end, so M and the end height are both
-    at most L_n; concave paths take their height maximum at an endpoint.
+    A path from M*(n,1) encloses the M ray points below its start, so
+    M <= L_n.  Each new vertex lies strictly above the line of the previous
+    edge (of the ray, for the first edge), which also keeps it strictly
+    inside the cone; the count only grows with the height, so each column's
+    heights run from that bound to the first count overrun.
     """
-    key = (n, kmax, margin)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ymax = kmax + 1 + margin
     buckets = {k: [] for k in range(kmax + 1)}
     buckets[0].append(empty_path(n))
 
-    def extend(chain, count, last_dir):
-        x1, y1 = chain[-1]
+    def extend(start, x1, y1, edges, count, px, py):
         for x2 in range(x1 - 1, -1, -1):
-            ylo = (x2 // n) + 1 if x2 > 0 else 1
-            for y2 in range(ylo, ymax + 1):
-                dx, dy = x2 - x1, y2 - y1
-                g = gcd(abs(dx), abs(dy)) if dy else abs(dx)
-                d = (dx // g, dy // g)
-                if last_dir is not None and geo.cross(last_dir, d) >= 0:
-                    continue
+            y2 = y1 + (py * (x2 - x1)) // px + 1
+            while True:
                 new_count = count + _edge_count(n, x1, y1, x2, y2)
                 if new_count > kmax:
-                    continue
+                    break
+                dx, dy = x2 - x1, y2 - y1
+                g = gcd(dx, dy)
+                new_edges = edges + (((dx // g, dy // g), g),)
                 if x2 == 0:
-                    buckets[new_count].append(path_from_vertices(n, chain + [(x2, y2)]))
+                    buckets[new_count].append(IntegralPath(n, start, new_edges))
                 else:
-                    extend(chain + [(x2, y2)], new_count, d)
+                    extend(start, x2, y2, new_edges, new_count, dx, dy)
+                y2 += 1
 
-    for m_start in range(1, kmax + margin + 1):
-        extend([(m_start * n, m_start)], 0, None)
-    for k in buckets:
-        buckets[k].sort(key=lambda p: (p.start, p.edges))
-    _ENUM_CACHE[key] = buckets
-    return buckets
-
-
-def enumerate_paths(n: int, k: int, margin: int = 0):
-    """Exactly the concave integral paths with L_n = k, in a deterministic order."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return list(_enumerate_all(n, k, margin)[k])
+    for m in range(1, kmax + 1):
+        extend((m * n, m), m * n, m, (), 0, -n, -1)
+    return {
+        k: tuple(sorted(bucket, key=lambda p: (p.start, p.edges)))
+        for k, bucket in buckets.items()
+    }
 
 
 def enumerate_paths_up_to(n: int, kmax: int):
-    """Buckets {k: paths with L_n = k} for all k <= kmax (shared search pass)."""
-    return _enumerate_all(n, kmax)
+    """Buckets {k: paths with L_n = k} for all k <= kmax, in a deterministic
+    order, read from one cached enumeration per n."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
+    cached = _ENUM_CACHE.get(n)
+    if cached is None or len(cached) <= kmax:
+        cached = _ENUM_CACHE[n] = _enumerate_all(n, kmax)
+    return {k: cached[k] for k in range(kmax + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +222,7 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
             ymin += 1
         candidates.append((c, ymin))
     for c in range(sx + 1, sx + 2 * n + 1):
-        candidates.append((c, _ceil_div(c, n)))
+        candidates.append((c, -(-c // n)))
 
     # lower convex hull, left to right
     hull = []

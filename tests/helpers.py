@@ -23,12 +23,19 @@ def brute_combination_sequence(n, a, b, kmax):
             return vals[: kmax + 1]
 
 
-def pick_lattice_count(path):
+def pick_lattice_count(path_or_n, chain=None):
     """L_n recomputed through Pick's theorem on the closed polygon bounded by
-    the path and the two rays through the origin."""
-    if path.is_empty():
-        return 0
-    poly = [(0, 0)] + path.vertices()
+    a vertex chain and the two rays through the origin.
+
+    Takes a path, or n and a bare chain from the ray to the y-axis with x
+    strictly decreasing and interior vertices strictly inside the cone (so
+    the polygon is simple); the chain need not be concave."""
+    if chain is None:
+        path = path_or_n
+        return 0 if path.is_empty() else pick_lattice_count(path.n, path.vertices())
+    n = path_or_n
+    assert chain[0][0] == n * chain[0][1] and chain[-1][0] == 0
+    poly = [(0, 0)] + chain
     twice_area = 0
     boundary = 0
     for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
@@ -36,8 +43,7 @@ def pick_lattice_count(path):
         boundary += gcd(abs(x2 - x1), abs(y2 - y1))
     interior = (abs(twice_area) - boundary) // 2 + 1
     on_path = 1 + sum(
-        gcd(abs(u[0] - v[0]), abs(u[1] - v[1]))
-        for u, v in zip(path.vertices(), path.vertices()[1:])
+        gcd(abs(u[0] - v[0]), abs(u[1] - v[1])) for u, v in zip(chain, chain[1:])
     )
     return interior + boundary - on_path
 

@@ -99,7 +99,7 @@ def test_a6_property_suites():
     pairs = []
     for n in (1, 2, 3):
         for k in range(1, 8):
-            for p in e.enumerate_paths(n, k):
+            for p in e.enumerate_paths_up_to(n, k)[k]:
                 for i in range(1, len(p.vertices()) - 1):
                     pairs.append((n, p, i))
     coround = 0

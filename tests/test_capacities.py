@@ -233,7 +233,7 @@ class TestEllipsoidOrbitIndex:
 class TestOrbitSetIndex:
     def test_reduces_to_generator_index(self):
         for k in range(4):
-            for p in e.enumerate_paths(2, k):
+            for p in e.enumerate_paths_up_to(2, k)[k]:
                 labels = ("e",) * len(p.edges)
                 gen = e.ConcaveGenerator(path=p, labels=labels)
                 orbit = e.OrbitSetDescriptor(m_plus=0, m_minus=0, generator=gen)
@@ -312,3 +312,23 @@ class TestCapacitySequenceInvariants:
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
             e.CapacitySequence(values=(0, 2, 1))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            e.CapacitySequence(values=())
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda kmax: e.ellipsoid_sequence(2, 1, 3, kmax),
+            lambda kmax: e.ball_sequence(1, kmax),
+            lambda kmax: e.union_sequence([e.ball_sequence(1, 3)], kmax),
+            lambda kmax: e.capacities_via_weights(EXAMPLE, kmax),
+            lambda kmax: e.capacities_via_oracle(EXAMPLE, kmax),
+            lambda kmax: e.enumerate_paths_up_to(2, kmax),
+        ],
+        ids=["ellipsoid", "ball", "union", "weights", "oracle", "enumerate"],
+    )
+    def test_negative_kmax(self, route):
+        with pytest.raises(ValueError):
+            route(-1)

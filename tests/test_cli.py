@@ -204,6 +204,12 @@ class TestObstruct:
         assert code == 0
         assert "violation at k=1: 4 > 2" in out
 
+    def test_has_no_budget_flag(self, capsys, ball_file, big_ball_file):
+        # obstruct runs the packing route only, which has no budget
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["obstruct", ball_file, big_ball_file, "--budget", "3"])
+        assert exc.value.code == 2
+
 
 class TestIndex:
     def test_ellipsoid(self, capsys):

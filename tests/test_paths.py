@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import echlens as e
+from echlens import paths
 from echlens.errors import InvalidVertex, PathError
 from helpers import brute_path_length, pick_lattice_count
 
@@ -75,6 +76,20 @@ class TestLatticeCount:
             for p in bucket:
                 assert e.lattice_count(p) == pick_lattice_count(p) == k
 
+    def test_pick_oracle_non_concave_chains(self):
+        # the shape of the orbit-set index's auxiliary chains: start on the
+        # ray, x strictly decreasing, interior vertices strictly inside
+        rng = random.Random(11)
+        for _ in range(3000):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 6)
+            chain = [(m * n, m)]
+            x = m * n
+            while x > 0:
+                x = rng.randint(0, x - 1)
+                chain.append((x, x // n + 1 + rng.randint(0, 6)))
+            assert paths._count_columns(n, chain) == pick_lattice_count(n, chain)
+
 
 class TestHomology:
     @given(st.integers(0, 40), st.integers(-20, 20), st.integers(1, 5))
@@ -100,29 +115,59 @@ class TestGeneratorIndex:
         assert e.generator_index(gen) == 2 * e.lattice_count(p) + 2
 
 
+# bucket sizes for k = 0..10 (the same figures as the benchmark's own check)
+PATH_COUNTS = {
+    1: (1, 1, 2, 3, 4, 7, 9, 11, 17, 23, 28),
+    2: (1, 1, 2, 5, 7, 9, 15, 21, 30, 44, 58),
+    3: (1, 1, 2, 5, 10, 14, 22, 30, 40, 57, 82),
+    4: (1, 1, 2, 5, 10, 18, 29, 42, 57, 80, 110),
+}
+
+
 class TestEnumeration:
     def test_deterministic(self):
-        assert e.enumerate_paths(2, 3) == e.enumerate_paths(2, 3)
+        assert e.enumerate_paths_up_to(2, 3)[3] == e.enumerate_paths_up_to(2, 3)[3]
 
     def test_unique_l0(self):
         for n in (1, 2, 3, 4):
-            assert e.enumerate_paths(n, 0) == [e.empty_path(n)]
+            assert e.enumerate_paths_up_to(n, 0)[0] == (e.empty_path(n),)
 
     def test_counts_exact(self):
         for n in (1, 2, 3):
             for k in range(5):
-                for p in e.enumerate_paths(n, k):
+                for p in e.enumerate_paths_up_to(n, k)[k]:
                     assert e.lattice_count(p) == k
 
+    def test_bucket_sizes(self):
+        for n, sizes in PATH_COUNTS.items():
+            buckets = e.enumerate_paths_up_to(n, 10)
+            assert tuple(len(buckets[k]) for k in range(11)) == sizes
+
+    def test_paths_are_valid_and_distinct(self):
+        # the enumerator builds its paths without validating them
+        for n in (1, 2, 3, 4):
+            for bucket in e.enumerate_paths_up_to(n, 8).values():
+                assert len(set(bucket)) == len(bucket)
+                for p in bucket:
+                    assert p == e.make_path(n, p.start, p.edges)
+
     def test_box_is_wide_enough(self):
-        # widening the search box must not discover new paths
+        # widening the range of starting multiples must not discover new paths
         for n in (1, 2, 3, 4):
             for k in range(4):
-                assert e.enumerate_paths(n, k, margin=2) == e.enumerate_paths(n, k)
+                assert paths._enumerate_all(n, k + 2)[k] == paths._enumerate_all(n, k)[k]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            e.enumerate_paths(2, -1)
+            e.enumerate_paths_up_to(2, -1)
+
+    def test_one_cache_entry_per_n(self, monkeypatch):
+        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
+        small = e.enumerate_paths_up_to(2, 3)
+        large = e.enumerate_paths_up_to(2, 5)
+        assert list(paths._ENUM_CACHE) == [2] and len(paths._ENUM_CACHE[2]) == 6
+        assert e.enumerate_paths_up_to(2, 3) == small
+        assert {k: large[k] for k in range(4)} == small
 
 
 class TestCoround:
@@ -137,7 +182,7 @@ class TestCoround:
         for n in (1, 2, 3):
             dom = e.random_concave_domain(rng, n=n)
             for k in range(1, 8):
-                for p in e.enumerate_paths(n, k):
+                for p in e.enumerate_paths_up_to(n, k)[k]:
                     for i in range(1, len(p.vertices()) - 1):
                         q = e.coround_corner(p, i)
                         assert e.omega_length_path(dom, q) >= e.omega_length_path(dom, p)
@@ -158,5 +203,6 @@ class TestLengthOracle:
         rng = random.Random(23)
         for _ in range(50):
             dom = e.random_concave_domain(rng)
-            for p in e.enumerate_paths(dom.n, rng.randint(0, 4)):
+            k = rng.randint(0, 4)
+            for p in e.enumerate_paths_up_to(dom.n, k)[k]:
                 assert e.omega_length_path(dom, p) == brute_path_length(dom, p)
