@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 from . import paths as pth
 from .domains import ConcaveDomain, admissible_delta, omega_length_blowup, rotation_numbers
@@ -67,10 +67,13 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
         raise NonPositivePeriod(f"n must be a positive integer, got {n}")
+    # the heap holds ints: a = ia/scale, b = ib/scale
+    scale = lcm(a.denominator, b.denominator)
+    ia, ib = int(a * scale), int(b * scale)
 
     def row_head(k1):
         k2 = (-k1) % n
-        return (a * k1 + b * k2, k1, k2)
+        return (ia * k1 + ib * k2, k1, k2)
 
     # Rows of fixed k1 are sorted, but their heads are not monotone in k1
     # (head = a*k1 + b*((-k1) mod n)); inject a row as soon as its lower
@@ -79,13 +82,13 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
     next_k1 = 1
     out = []
     while len(out) <= kmax:
-        while a * next_k1 <= heap[0][0]:
+        while ia * next_k1 <= heap[0][0]:
             heapq.heappush(heap, row_head(next_k1))
             next_k1 += 1
         value, k1, k2 = heapq.heappop(heap)
         out.append(value)
-        heapq.heappush(heap, (value + n * b, k1, k2 + n))
-    return CapacitySequence(values=tuple(out))
+        heapq.heappush(heap, (value + n * ib, k1, k2 + n))
+    return CapacitySequence(values=tuple(Fraction(v, scale) for v in out))
 
 
 def ball_sequence(a, kmax: int, n: int = 1) -> CapacitySequence:
@@ -109,27 +112,36 @@ def ball_sequence(a, kmax: int, n: int = 1) -> CapacitySequence:
 
 
 def union_sequence(sequences, kmax: int) -> CapacitySequence:
-    """Iterated max-plus convolution (disjoint-union capacities)."""
+    """Iterated max-plus convolution (disjoint-union capacities), exact on
+    ints scaled by the LCM of the denominators."""
     seqs = list(sequences)
     if not seqs:
         raise InsufficientLength("need at least one sequence")
     for s in seqs:
         if len(s) < kmax + 1:
             raise InsufficientLength(f"sequence of length {len(s)} does not cover kmax={kmax}")
-    acc = list(seqs[0].values[: kmax + 1])
-    for s in seqs[1:]:
-        vals = s.values
-        acc = [
-            max(acc[i] + vals[k - i] for i in range(k + 1)) for k in range(kmax + 1)
-        ]
-    return CapacitySequence(values=tuple(acc))
+    heads = [s.values[: kmax + 1] for s in seqs]
+    scale = lcm(*(v.denominator for vals in heads for v in vals))
+    ints = [[v.numerator * (scale // v.denominator) for v in vals] for vals in heads]
+    acc = ints[0]
+    for vals in ints[1:]:
+        # acc and vals are nondecreasing, so over a flat run of vals the
+        # maximum of acc[k-j] + vals[j] sits at the run's first index j
+        new = [x + vals[0] for x in acc]
+        for j in range(1, kmax + 1):
+            v = vals[j]
+            if v != vals[j - 1]:
+                new[j:] = [y if y > x + v else x + v for y, x in zip(new[j:], acc)]
+        acc = new
+    return CapacitySequence(values=tuple(Fraction(v, scale) for v in acc))
 
 
 def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence:
     """Packing route: weight expansion, then disjoint-union of ball capacities."""
     expansion = singular_weight_expansion(domain)
     seqs = [ball_sequence(expansion.singular_weight, kmax, domain.n)]
-    seqs.extend(ball_sequence(w, kmax) for w in expansion.plain_weights)
+    # c_k uses at most k nonzero balls, and larger weights never do worse
+    seqs.extend(ball_sequence(w, kmax) for w in expansion.plain_weights[:kmax])
     return union_sequence(seqs, kmax)
 
 

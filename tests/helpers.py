@@ -57,6 +57,16 @@ def brute_path_length(domain, path):
     return total
 
 
+def naive_union(seqs, kmax):
+    """Disjoint-union capacities by the dense max-plus convolution: every
+    split k = i + (k - i) of every pair, in Fraction arithmetic.  Takes
+    sequences indexable by k and returns the tuple c_0..c_kmax."""
+    acc = [Fraction(seqs[0][k]) for k in range(kmax + 1)]
+    for s in seqs[1:]:
+        acc = [max(acc[i] + s[k - i] for i in range(k + 1)) for k in range(kmax + 1)]
+    return tuple(acc)
+
+
 def packing_closed_form(n, a0, plain_weights, kmax):
     """Disjoint-union capacities of the singular ball B_n(a0) and the balls
     B(a_i), by direct maximization over multiplicity tuples (independent of

@@ -13,12 +13,31 @@ from echlens.errors import (
     NonPositivePeriod,
     ResourceLimit,
 )
-from helpers import brute_combination_sequence, packing_closed_form
+from helpers import brute_combination_sequence, naive_union, packing_closed_form
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 B22 = e.validate_domain(2, [(4, 2), (0, 2)])
 EXAMPLE = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
 FIB = Fraction(233, 144)
+
+
+def random_factor(rng, kmax):
+    """A nondecreasing sequence covering kmax: a generator sequence, a
+    (singular) ball, or free steps with plateaus and mixed denominators."""
+    length = kmax + rng.randint(0, 3)
+    kind = rng.randrange(3)
+    if kind == 0:
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        b = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+        return e.ellipsoid_sequence(rng.randint(1, 4), a, b, length)
+    if kind == 1:
+        a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        return e.ball_sequence(a, length, rng.randint(1, 4))
+    vals = [Fraction(0)]
+    for _ in range(length):
+        step = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 7]))
+        vals.append(vals[-1] + (0 if rng.random() < 0.5 else step))
+    return e.CapacitySequence(values=tuple(vals))
 
 
 class TestEllipsoidSequence:
@@ -91,6 +110,13 @@ class TestUnionSequence:
             backward = e.union_sequence(list(reversed(seqs)), 12)
             assert forward.values == backward.values
 
+    def test_matches_dense_convolution(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            kmax = rng.randint(0, 40)
+            seqs = [random_factor(rng, kmax) for _ in range(rng.randint(1, 4))]
+            assert e.union_sequence(seqs, kmax).values == naive_union(seqs, kmax)
+
     def test_insufficient_length(self):
         with pytest.raises(InsufficientLength):
             e.union_sequence([e.ball_sequence(1, 3)], 5)
@@ -108,6 +134,38 @@ class TestWeightsRoute:
     def test_example_domain(self):
         assert e.capacities_via_weights(EXAMPLE, 3).values == (0, 4, 5, 5)
 
+    @pytest.mark.parametrize(
+        "n, a, b",
+        [
+            (1, 2, 3),
+            (1, 1, Fraction(8, 5)),
+            (2, 1, Fraction(5, 3)),
+            (3, Fraction(3, 2), 1),
+            (4, 1, Fraction(7, 2)),
+        ],
+    )
+    def test_triangle_is_generator_at_large_k(self, n, a, b):
+        dom = e.validate_domain(n, [(n * a, a), (0, b)])
+        via_weights = e.capacities_via_weights(dom, 1000)
+        assert via_weights.values == e.ellipsoid_sequence(n, a, b, 1000).values
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(1, 1), (0, 100)],
+            [(Fraction(3, 2), Fraction(3, 2)), (0, 150)],
+            [(89, 89), (55, 90), (0, 144)],
+        ],
+        ids=["thin", "thin-half", "fibonacci"],
+    )
+    def test_more_weights_than_kmax(self, vertices):
+        dom = e.validate_domain(1, vertices)
+        expansion = e.singular_weight_expansion(dom)
+        assert len(expansion.plain_weights) > 20
+        # n = 1: the singular ball is a classical ball
+        seqs = [e.ball_sequence(w, 20) for w in expansion.as_multiset()]
+        assert e.capacities_via_weights(dom, 20).values == naive_union(seqs, 20)
+
     def test_conformality(self):
         rng = random.Random(4)
         for _ in range(20):
@@ -116,6 +174,39 @@ class TestWeightsRoute:
             for r in (Fraction(1, 3), 2, Fraction(7, 5)):
                 scaled = e.capacities_via_weights(e.scale_domain(dom, r), 6)
                 assert scaled.values == tuple(r * v for v in base.values)
+
+
+class TestWeylLaw:
+    @pytest.mark.parametrize(
+        "n, vertices", [(2, [(6, 3), (3, 2), (0, 2)]), (3, [(9, 3), (0, Fraction(17, 3))])]
+    )
+    def test_ratio_tends_to_one(self, n, vertices):
+        # c_k^2 / (4 area k) -> 1.  The packing route gives c_k as the largest
+        # n*w0*d0 + sum w_i*d_i whose ball costs T_n(d0) + sum T(d_i) stay
+        # <= k, with T(d) = d(d+1)/2 and T_n(d) = (n d^2 - (n-2) d)/2 (the
+        # steps of ball_sequence), and area A = (n w0^2 + sum w_i^2)/2.
+        # Upper: Cauchy-Schwarz with d_i^2 <= 2T(d_i), n d0^2 = 2T_n(d0) +
+        # (n-2) d0 and d0 <= sqrt(k) gives ratio <= 1 + max(n-2, 0)/(2 sqrt k).
+        # Lower: d = floor(t w) for every ball, t = sqrt(k/A) - S/(4A) with
+        # S = w0 + sum w_i, costs at most A t^2 + S t/2 <= k and is worth at
+        # least 2At - (n w0 + sum w_i), so
+        # sqrt(ratio) >= 1 - (S/2 + n w0 + sum w_i) / (2 sqrt(A k)) (t > 0 at
+        # every k tested).
+        top = 4000
+        dom = e.validate_domain(n, vertices)
+        caps = e.capacities_via_weights(dom, top)
+        area = e.domain_area(dom)
+        expansion = e.singular_weight_expansion(dom)
+        w0, plain = expansion.singular_weight, expansion.plain_weights
+        slack = (w0 + sum(plain)) / 2 + n * w0 + sum(plain)
+        errors = []
+        for k in (top // 16, top // 4, top):
+            ratio = float(caps[k] ** 2 / (4 * area * k))
+            lower = (1 - float(slack) / (2 * (float(area) * k) ** 0.5)) ** 2
+            upper = 1 + max(n - 2, 0) / (2 * k**0.5)
+            assert lower <= ratio <= upper
+            errors.append(abs(ratio - 1))
+        assert errors[0] > errors[1] > errors[2]
 
 
 class TestOracleRoute:
