@@ -5,7 +5,6 @@ from .capacities import (
     CapacitySequence,
     ObstructionReport,
     OrbitSetDescriptor,
-    ball_sequence,
     capacities_via_oracle,
     capacities_via_weights,
     ellipsoid_orbit_index,
@@ -38,7 +37,6 @@ from .paths import (
     ConcaveGenerator,
     IntegralPath,
     coround_corner,
-    displacement,
     empty_path,
     enumerate_paths_up_to,
     generator_index,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 from . import paths as pth
 from .domains import ConcaveDomain, admissible_delta, omega_length_blowup, rotation_numbers
@@ -39,29 +39,53 @@ MONOTONICITY_NOTE = (
 
 @dataclass(frozen=True)
 class CapacitySequence:
-    values: tuple  # exact rationals c_0..c_kmax
+    """Exact capacities c_k = ints[k] / scale for k = 0..kmax, stored in
+    lowest terms (gcd(scale, *ints) == 1), so equal sequences compare and
+    hash equal."""
+
+    ints: tuple
+    scale: int = 1
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
+        ints = tuple(self.ints)
+        if not ints:
             raise ValueError("a capacity sequence holds c_0..c_kmax, got no values")
-        if vals[0] != 0:
-            raise ValueError(f"c_0 must be 0, got {vals[0]}")
-        for k in range(len(vals) - 1):
-            if vals[k] > vals[k + 1]:
+        if self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        if ints[0] != 0:
+            raise ValueError(f"c_0 must be 0, got {Fraction(ints[0], self.scale)}")
+        for k in range(len(ints) - 1):
+            if ints[k] > ints[k + 1]:
                 raise ValueError(f"sequence decreases at k={k}")
+        g = gcd(self.scale, *ints)
+        object.__setattr__(self, "ints", ints if g == 1 else tuple(v // g for v in ints))
+        object.__setattr__(self, "scale", self.scale // g)
+
+    @classmethod
+    def of(cls, values) -> CapacitySequence:
+        """The sequence of the exact rationals c_0..c_kmax."""
+        vals = [Fraction(v) for v in values]
+        scale = lcm(*(v.denominator for v in vals))
+        return cls(tuple(v.numerator * (scale // v.denominator) for v in vals), scale)
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self)
+
+    def __iter__(self):
+        return (Fraction(v, self.scale) for v in self.ints)
 
     def __getitem__(self, k):
-        return self.values[k]
+        return Fraction(self.ints[k], self.scale)
 
     def __len__(self):
-        return len(self.values)
+        return len(self.ints)
 
 
 def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
     """First kmax+1 values a*k1 + b*k2 over k1 + k2 = 0 mod n, sorted with
-    repetitions (lazy priority-queue merge over rows of fixed k1)."""
+    repetitions (lazy priority-queue merge over rows of fixed k1).  The
+    singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
@@ -88,27 +112,7 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
         value, k1, k2 = heapq.heappop(heap)
         out.append(value)
         heapq.heappush(heap, (value + n * ib, k1, k2 + n))
-    return CapacitySequence(values=tuple(Fraction(v, scale) for v in out))
-
-
-def ball_sequence(a, kmax: int, n: int = 1) -> CapacitySequence:
-    """Singular ball B_n(a) (the classical ball at n = 1): c_k = a*n*d with
-    minimal d such that 2k <= d^2 n + d(n+2); the same values as the
-    generator sequence N^n(a, a)."""
-    a = Fraction(a)
-    if a <= 0:
-        raise NonPositivePeriod(f"ball parameter must be positive, got {a}")
-    if n < 1:
-        raise NonPositivePeriod(f"n must be a positive integer, got {n}")
-    out = []
-    d = 0
-    value = Fraction(0)
-    for k in range(kmax + 1):
-        while d * d * n + d * (n + 2) < 2 * k:
-            d += 1
-            value = a * (n * d)
-        out.append(value)
-    return CapacitySequence(values=tuple(out))
+    return CapacitySequence(tuple(out), scale)
 
 
 def union_sequence(sequences, kmax: int) -> CapacitySequence:
@@ -120,11 +124,10 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
     for s in seqs:
         if len(s) < kmax + 1:
             raise InsufficientLength(f"sequence of length {len(s)} does not cover kmax={kmax}")
-    heads = [s.values[: kmax + 1] for s in seqs]
-    scale = lcm(*(v.denominator for vals in heads for v in vals))
-    ints = [[v.numerator * (scale // v.denominator) for v in vals] for vals in heads]
-    acc = ints[0]
-    for vals in ints[1:]:
+    scale = lcm(*(s.scale for s in seqs))
+    factors = [[v * (scale // s.scale) for v in s.ints[: kmax + 1]] for s in seqs]
+    acc = factors[0]
+    for vals in factors[1:]:
         # acc and vals are nondecreasing, so over a flat run of vals the
         # maximum of acc[k-j] + vals[j] sits at the run's first index j
         new = [x + vals[0] for x in acc]
@@ -133,15 +136,16 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
             if v != vals[j - 1]:
                 new[j:] = [y if y > x + v else x + v for y, x in zip(new[j:], acc)]
         acc = new
-    return CapacitySequence(values=tuple(Fraction(v, scale) for v in acc))
+    return CapacitySequence(tuple(acc), scale)
 
 
 def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence:
     """Packing route: weight expansion, then disjoint-union of ball capacities."""
     expansion = singular_weight_expansion(domain)
-    seqs = [ball_sequence(expansion.singular_weight, kmax, domain.n)]
+    w0 = expansion.singular_weight
+    seqs = [ellipsoid_sequence(domain.n, w0, w0, kmax)]
     # c_k uses at most k nonzero balls, and larger weights never do worse
-    seqs.extend(ball_sequence(w, kmax) for w in expansion.plain_weights[:kmax])
+    seqs.extend(ellipsoid_sequence(1, w, w, kmax) for w in expansion.plain_weights[:kmax])
     return union_sequence(seqs, kmax)
 
 
@@ -162,7 +166,7 @@ def capacities_via_oracle(
         if not buckets[k]:
             raise AssertionError(f"no concave path with L_{domain.n} = {k}")
         out.append(max(omega_length_blowup(domain, p, delta) for p in buckets[k]))
-    return CapacitySequence(values=tuple(out))
+    return CapacitySequence.of(out)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 from . import capacities as cap
@@ -57,22 +56,20 @@ def _positive_int(text: str) -> int:
 def _render_value(value, decimal=None) -> str:
     if decimal is None:
         return format_rational(value)
-    quantum = Decimal(1).scaleb(-decimal)
-    approx = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-        quantum, rounding=ROUND_HALF_EVEN
-    )
-    return f"~{approx}"
+    # Fraction rounding is exact and sends ties to even; capacities are >= 0
+    whole, frac = divmod(round(value * 10**decimal), 10**decimal)
+    return f"~{whole}.{frac:0{decimal}d}"
 
 
 def _render_sequence(seq, fmt: str, decimal=None, out=None):
     out = out or sys.stdout
     if fmt == "csv":
         print("k,numerator,denominator", file=out)
-        for k, v in enumerate(seq.values):
+        for k, v in enumerate(seq):
             print(f"{k},{v.numerator},{v.denominator}", file=out)
     else:
         print("k  c_k", file=out)
-        for k, v in enumerate(seq.values):
+        for k, v in enumerate(seq):
             print(f"{k}  {_render_value(v, decimal)}", file=out)
 
 
@@ -175,7 +172,7 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    seq = cap.ball_sequence(args.a, args.kmax, args.n)
+    seq = cap.ellipsoid_sequence(args.n, args.a, args.a, args.kmax)
     _render_sequence(seq, args.format, args.decimal)
     return EXIT_OK
 

@@ -27,7 +27,6 @@ def cone_change_matrix(n: int):
 
 
 SHEAR_DOWN = ((1, 0), (1, 1))
-SHEAR_RIGHT = ((1, 1), (0, 1))
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -85,10 +84,6 @@ def apply_unimodular(m, p):
 
 def is_primitive(v) -> bool:
     return gcd(abs(v[0]), abs(v[1])) == 1 and v != (0, 0)
-
-
-def vec_add(u, v):
-    return (u[0] + v[0], u[1] + v[1])
 
 
 def vec_sub(u, v):

@@ -122,11 +122,6 @@ def lattice_count(path: IntegralPath) -> int:
     return _count_columns(path.n, path.vertices())
 
 
-def displacement(path: IntegralPath) -> int:
-    """Horizontal displacement y(path) = x-coordinate of the start."""
-    return path.start[0]
-
-
 def homology_class(w, n: int):
     """Unique (l, k1, k2) with 0 <= l < n and w + l*(-1,0) = k1*(n,1) + k2*(0,1)."""
     l = w[0] % n

@@ -23,6 +23,20 @@ def brute_combination_sequence(n, a, b, kmax):
             return vals[: kmax + 1]
 
 
+def ball_closed_form(a, kmax, n=1):
+    """Singular ball B_n(a) (the classical ball at n = 1) in closed form:
+    c_k = a*n*d with d the least value such that d^2 n + d(n+2) >= 2k.
+    Returns the tuple c_0..c_kmax."""
+    a = Fraction(a)
+    out = []
+    d = 0
+    for k in range(kmax + 1):
+        while d * d * n + d * (n + 2) < 2 * k:
+            d += 1
+        out.append(a * n * d)
+    return tuple(out)
+
+
 def pick_lattice_count(path_or_n, chain=None):
     """L_n recomputed through Pick's theorem on the closed polygon bounded by
     a vertex chain and the two rays through the origin.

@@ -116,10 +116,10 @@ def test_a6_property_suites():
 
     monotone = 0
     for _ in range(1000):
-        seqs = [
-            e.ball_sequence(Fraction(rng.randint(1, 9), rng.randint(1, 3)), 10)
-            for _ in range(rng.randint(1, 3))
-        ]
+        seqs = []
+        for _ in range(rng.randint(1, 3)):
+            a = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            seqs.append(e.ellipsoid_sequence(1, a, a, 10))
         seq = e.union_sequence(seqs, 10)
         if seq[0] == 0 and all(seq[k] <= seq[k + 1] for k in range(10)):
             monotone += 1
@@ -189,7 +189,7 @@ def test_a9_union_against_closed_form():
             for _ in range(rng.randint(0, 3))
         ]
         seqs = [e.ellipsoid_sequence(n, a1, a1, 30)]
-        seqs.extend(e.ball_sequence(w, 30) for w in plain)
+        seqs.extend(e.ellipsoid_sequence(1, w, w, 30) for w in plain)
         if e.union_sequence(seqs, 30).values != packing_closed_form(n, a1, plain, 30):
             ok = False
             break

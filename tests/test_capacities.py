@@ -13,7 +13,12 @@ from echlens.errors import (
     NonPositivePeriod,
     ResourceLimit,
 )
-from helpers import brute_combination_sequence, naive_union, packing_closed_form
+from helpers import (
+    ball_closed_form,
+    brute_combination_sequence,
+    naive_union,
+    packing_closed_form,
+)
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 B22 = e.validate_domain(2, [(4, 2), (0, 2)])
@@ -32,12 +37,12 @@ def random_factor(rng, kmax):
         return e.ellipsoid_sequence(rng.randint(1, 4), a, b, length)
     if kind == 1:
         a = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-        return e.ball_sequence(a, length, rng.randint(1, 4))
+        return e.ellipsoid_sequence(rng.randint(1, 4), a, a, length)
     vals = [Fraction(0)]
     for _ in range(length):
         step = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 7]))
         vals.append(vals[-1] + (0 if rng.random() < 0.5 else step))
-    return e.CapacitySequence(values=tuple(vals))
+    return e.CapacitySequence.of(vals)
 
 
 class TestEllipsoidSequence:
@@ -72,32 +77,37 @@ class TestEllipsoidSequence:
 
 
 class TestBallSequence:
+    # the ball B_n(a) is the generator sequence E_n(a, a), checked against
+    # the closed form in helpers
     def test_unit(self):
-        assert e.ball_sequence(1, 6).values == (0, 1, 1, 2, 2, 2, 3)
+        assert e.ellipsoid_sequence(1, 1, 1, 6).values == (0, 1, 1, 2, 2, 2, 3)
+        assert ball_closed_form(1, 6) == (0, 1, 1, 2, 2, 2, 3)
 
     def test_scaled(self):
-        assert e.ball_sequence(2, 3).values == (0, 2, 2, 4)
+        assert e.ellipsoid_sequence(1, 2, 2, 3).values == (0, 2, 2, 4)
+        assert ball_closed_form(2, 3) == (0, 2, 2, 4)
 
     def test_matches_generator(self):
         for a in (1, Fraction(3, 7), 5):
-            assert e.ball_sequence(a, 30).values == e.ellipsoid_sequence(1, a, a, 30).values
+            assert e.ellipsoid_sequence(1, a, a, 30).values == ball_closed_form(a, 30)
 
     def test_singular_closed_form_matches_generator(self):
         for n in (1, 2, 3, 4):
-            for a in (1, Fraction(2, 3)):
-                assert (
-                    e.ball_sequence(a, 40, n).values
-                    == e.ellipsoid_sequence(n, a, a, 40).values
-                )
+            for a in (1, Fraction(2, 3), Fraction(7, 4)):
+                for kmax in (0, 40, 2000):
+                    assert (
+                        e.ellipsoid_sequence(n, a, a, kmax).values
+                        == ball_closed_form(a, kmax, n)
+                    )
 
 
 class TestUnionSequence:
     def test_identity(self):
-        seq = e.ball_sequence(1, 5)
-        assert e.union_sequence([seq], 5).values == seq.values
+        seq = e.ellipsoid_sequence(1, 1, 1, 5)
+        assert e.union_sequence([seq], 5) == seq
 
     def test_worked_example(self):
-        u = e.union_sequence([e.ellipsoid_sequence(2, 2, 2, 3), e.ball_sequence(1, 3)], 3)
+        u = e.union_sequence([e.ellipsoid_sequence(2, 2, 2, 3), e.ellipsoid_sequence(1, 1, 1, 3)], 3)
         assert u[1] == 4
         assert u[2] == 5
         assert u[3] == 5
@@ -105,7 +115,10 @@ class TestUnionSequence:
     def test_commutative_associative(self):
         rng = random.Random(2)
         for _ in range(20):
-            seqs = [e.ball_sequence(Fraction(rng.randint(1, 9), rng.randint(1, 3)), 12) for _ in range(3)]
+            seqs = []
+            for _ in range(3):
+                a = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+                seqs.append(e.ellipsoid_sequence(1, a, a, 12))
             forward = e.union_sequence(seqs, 12)
             backward = e.union_sequence(list(reversed(seqs)), 12)
             assert forward.values == backward.values
@@ -119,7 +132,7 @@ class TestUnionSequence:
 
     def test_insufficient_length(self):
         with pytest.raises(InsufficientLength):
-            e.union_sequence([e.ball_sequence(1, 3)], 5)
+            e.union_sequence([e.ellipsoid_sequence(1, 1, 1, 3)], 5)
         with pytest.raises(InsufficientLength):
             e.union_sequence([], 3)
 
@@ -163,7 +176,7 @@ class TestWeightsRoute:
         expansion = e.singular_weight_expansion(dom)
         assert len(expansion.plain_weights) > 20
         # n = 1: the singular ball is a classical ball
-        seqs = [e.ball_sequence(w, 20) for w in expansion.as_multiset()]
+        seqs = [ball_closed_form(w, 20) for w in expansion.as_multiset()]
         assert e.capacities_via_weights(dom, 20).values == naive_union(seqs, 20)
 
     def test_conformality(self):
@@ -184,7 +197,7 @@ class TestWeylLaw:
         # c_k^2 / (4 area k) -> 1.  The packing route gives c_k as the largest
         # n*w0*d0 + sum w_i*d_i whose ball costs T_n(d0) + sum T(d_i) stay
         # <= k, with T(d) = d(d+1)/2 and T_n(d) = (n d^2 - (n-2) d)/2 (the
-        # steps of ball_sequence), and area A = (n w0^2 + sum w_i^2)/2.
+        # steps of helpers.ball_closed_form), and area A = (n w0^2 + sum w_i^2)/2.
         # Upper: Cauchy-Schwarz with d_i^2 <= 2T(d_i), n d0^2 = 2T_n(d0) +
         # (n-2) d0 and d0 <= sqrt(k) gives ratio <= 1 + max(n-2, 0)/(2 sqrt k).
         # Lower: d = floor(t w) for every ball, t = sqrt(k/A) - S/(4A) with
@@ -391,29 +404,37 @@ class TestClosedFormUnion:
                 for _ in range(rng.randint(0, 3))
             ]
             seqs = [e.ellipsoid_sequence(n, a1, a1, 20)]
-            seqs.extend(e.ball_sequence(w, 20) for w in plain)
+            seqs.extend(e.ellipsoid_sequence(1, w, w, 20) for w in plain)
             assert e.union_sequence(seqs, 20).values == packing_closed_form(n, a1, plain, 20)
 
 
 class TestCapacitySequenceInvariants:
+    # each invariant is checked on ints and on exact rationals through `of`
+    BUILDS = (e.CapacitySequence, e.CapacitySequence.of)
+
     def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            e.CapacitySequence(values=(1, 2))
+        for build in self.BUILDS:
+            with pytest.raises(ValueError):
+                build((1, 2))
 
     def test_rejects_decreasing(self):
+        for build in self.BUILDS:
+            with pytest.raises(ValueError):
+                build((0, 2, 1))
         with pytest.raises(ValueError):
-            e.CapacitySequence(values=(0, 2, 1))
+            e.CapacitySequence.of((0, Fraction(1, 2), Fraction(1, 3)))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            e.CapacitySequence(values=())
+        for build in self.BUILDS:
+            with pytest.raises(ValueError):
+                build(())
 
     @pytest.mark.parametrize(
         "route",
         [
             lambda kmax: e.ellipsoid_sequence(2, 1, 3, kmax),
-            lambda kmax: e.ball_sequence(1, kmax),
-            lambda kmax: e.union_sequence([e.ball_sequence(1, 3)], kmax),
+            lambda kmax: e.ellipsoid_sequence(3, 1, 1, kmax),
+            lambda kmax: e.union_sequence([e.ellipsoid_sequence(1, 1, 1, 3)], kmax),
             lambda kmax: e.capacities_via_weights(EXAMPLE, kmax),
             lambda kmax: e.capacities_via_oracle(EXAMPLE, kmax),
             lambda kmax: e.enumerate_paths_up_to(2, kmax),
@@ -423,3 +444,25 @@ class TestCapacitySequenceInvariants:
     def test_negative_kmax(self, route):
         with pytest.raises(ValueError):
             route(-1)
+
+
+class TestStoredForm:
+    def test_lowest_terms(self):
+        assert e.ellipsoid_sequence(2, Fraction(1, 2), Fraction(1, 2), 10).scale == 1
+        seq = e.CapacitySequence((0, 4, 6), 4)
+        assert (seq.ints, seq.scale) == ((0, 2, 3), 2)
+        assert seq.values == (0, 1, Fraction(3, 2))
+        assert seq[2] == Fraction(3, 2) and len(seq) == 3
+
+    def test_of_round_trip(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            seq = random_factor(rng, rng.randint(0, 30))
+            again = e.CapacitySequence.of(seq.values)
+            assert again == seq
+            assert hash(again) == hash(seq)
+
+    def test_rejects_bad_scale(self):
+        for scale in (0, -2):
+            with pytest.raises(ValueError):
+                e.CapacitySequence((0, 1), scale)

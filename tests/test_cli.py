@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from echlens import capacities, checks, cli, geometry, weights
+from helpers import ball_closed_form
 
 
 @pytest.fixture
@@ -59,6 +62,21 @@ class TestEllipsoid:
         assert code == 0
         assert "~1.50" in out
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["ellipsoid", "--n", "1", "--a", "1", "--b", "3/2", "--decimal", "7"], "0  ~0.0000000"),
+            (["ball", "--a", "1/3", "--decimal", "30"], "1  ~0." + "3" * 30),
+            (["ball", "--a", "1/8", "--decimal", "2"], "1  ~0.12"),
+            (["ball", "--a", "3/8", "--decimal", "2"], "1  ~0.38"),
+        ],
+        ids=["zero-7-digits", "third-30-digits", "tie-down", "tie-up"],
+    )
+    def test_decimal_is_exact(self, capsys, argv, line):
+        code, out, _ = run(capsys, argv + ["--kmax", "2"])
+        assert code == 0
+        assert line in out.splitlines()
+
     def test_rejects_zero_period(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["ellipsoid", "--n", "2", "--a", "0", "--b", "1"])
@@ -85,6 +103,10 @@ class TestBall:
         )
         assert ball[0] == 0
         assert ball == ellipsoid
+        closed = ball_closed_form(Fraction(7, 4), 200, n)
+        assert ball[1] == "k  c_k\n" + "".join(
+            f"{k}  {geometry.format_rational(v)}\n" for k, v in enumerate(closed)
+        )
 
 
 class TestDomain:

@@ -98,10 +98,6 @@ class TestHomology:
         assert 0 <= l < n
         assert (x - l, y) == (k1 * n, k1 + k2)
 
-    def test_displacement(self):
-        p = e.make_path(2, (4, 2), (((-1, 0), 2), ((-2, 1), 1)))
-        assert e.displacement(p) == 4
-
 
 class TestGeneratorIndex:
     def test_all_elliptic(self):
