@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor, gcd, lcm
 
 from . import paths as pth
-from .domains import ConcaveDomain, admissible_delta, omega_length_blowup, rotation_numbers
+from .domains import ConcaveDomain, admissible_delta, omega_length_edge, rotation_numbers
 from .errors import (
     DegenerateRatio,
     HomologyNotZero,
@@ -27,7 +27,7 @@ from .errors import (
 from .geometry import in_cone
 from .weights import singular_weight_expansion
 
-DEFAULT_ORACLE_BUDGET = 16
+DEFAULT_ORACLE_BUDGET = 24
 
 MONOTONICITY_NOTE = (
     "no capacity obstruction found is not evidence that an embedding exists; "
@@ -154,19 +154,34 @@ def capacities_via_oracle(
 ) -> CapacitySequence:
     """Brute-force route: per k, maximize the length l - delta*y of the
     rational blow-up of size delta over all paths with L_n = k (delta = 0 is
-    the domain itself)."""
+    the domain itself).  omega_length_edge depends only on the primitive
+    direction, so each direction met is priced once, as an int over the LCM
+    of the vertex and delta denominators, and a path's length is an int sum."""
     delta = admissible_delta(domain, delta)
     if kmax > budget:
         raise ResourceLimit(
             f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
         )
     buckets = pth.enumerate_paths_up_to(domain.n, kmax)
+    scale = lcm(delta.denominator, *(c.denominator for v in domain.vertices for c in v))
+    shift = int(delta * scale)
+    prices = {}
+
+    def length(path):
+        total = -shift * path.start[0]
+        for d, m in path.edges:
+            price = prices.get(d)
+            if price is None:
+                price = prices[d] = int(omega_length_edge(domain, d) * scale)
+            total += m * price
+        return total
+
     out = []
     for k in range(kmax + 1):
         if not buckets[k]:
             raise AssertionError(f"no concave path with L_{domain.n} = {k}")
-        out.append(max(omega_length_blowup(domain, p, delta) for p in buckets[k]))
-    return CapacitySequence.of(out)
+        out.append(max(map(length, buckets[k])))
+    return CapacitySequence(tuple(out), scale)
 
 
 @dataclass(frozen=True)

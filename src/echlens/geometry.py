@@ -39,7 +39,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -6,8 +6,9 @@ Its vertices are exactly a lattice concave chain, so a path given by a caller
 is validated as a domain boundary by `domains.validate_domain`.
 The enclosed lattice count L_n, the enumeration of all paths up to a count
 (one cached search per n, in which each column's heights run from the slope
-bound to the first count overrun), corner corounding, homology classes, and
-the combinatorial index of labeled generators all live here.
+bound to the first chain that cannot close within the count), corner
+corounding, homology classes, and the combinatorial index of labeled
+generators all live here.
 """
 
 from __future__ import annotations
@@ -142,14 +143,25 @@ def generator_index(gen: ConcaveGenerator) -> int:
 _ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
 
 
+def _completion_bound(n: int, x2, y2, dx, dy) -> int:
+    """Cone points in columns 0 <= c < x2 on or below the line of the edge
+    (dx, dy) that ends at (x2, y2)."""
+    return sum(max(0, y2 + (dy * (c - x2)) // dx + 1 + (-c) // n) for c in range(x2))
+
+
 def _enumerate_all(n: int, kmax: int):
     """All concave paths with L_n <= kmax, bucketed by L_n into tuples.
 
     A path from M*(n,1) encloses the M ray points below its start, so
     M <= L_n.  Each new vertex lies strictly above the line of the previous
     edge (of the ray, for the first edge), which also keeps it strictly
-    inside the cone; the count only grows with the height, so each column's
-    heights run from that bound to the first count overrun.
+    inside the cone.  Every continuation from a new vertex lies strictly
+    above the line of the new edge, so the cone points on or below that line
+    to its left end up enclosed: a chain whose count plus this completion
+    bound exceeds kmax is dead.  Raising the new vertex in its column pivots
+    the edge's line upward about the previous vertex, so the count and the
+    bound both only grow with the height, and each column's heights run from
+    the slope bound to the first dead chain.
     """
     buckets = {k: [] for k in range(kmax + 1)}
     buckets[0].append(empty_path(n))
@@ -158,10 +170,10 @@ def _enumerate_all(n: int, kmax: int):
         for x2 in range(x1 - 1, -1, -1):
             y2 = y1 + (py * (x2 - x1)) // px + 1
             while True:
-                new_count = count + _edge_count(n, x1, y1, x2, y2)
-                if new_count > kmax:
-                    break
                 dx, dy = x2 - x1, y2 - y1
+                new_count = count + _edge_count(n, x1, y1, x2, y2)
+                if new_count + _completion_bound(n, x2, y2, dx, dy) > kmax:
+                    break
                 g = gcd(dx, dy)
                 new_edges = edges + (((dx // g, dy // g), g),)
                 if x2 == 0:

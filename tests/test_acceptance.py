@@ -81,6 +81,15 @@ def test_a4_route_agreement_and_a5_first_capacity():
     _report("A5", mismatch is None and a5_ok, "c_1 = n*w0 and exact area conservation")
 
 
+def test_route_agreement_at_kmax_20():
+    # A4's check at twice its kmax, within the default oracle budget
+    rng = random.Random(2020)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            dom = e.random_concave_domain(rng, n=n)
+            assert e.capacities_via_oracle(dom, 20) == e.capacities_via_weights(dom, 20), dom
+
+
 def test_a6_property_suites():
     rng = random.Random(611)
 

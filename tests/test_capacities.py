@@ -243,6 +243,23 @@ class TestOracleRoute:
                 == e.ellipsoid_sequence(n, a, b, 6).values
             )
 
+    def test_pricing_matches_per_path_length(self):
+        # directions are priced once, as ints; the per-path Fraction
+        # functional is the reference
+        rng = random.Random(31)
+        scales = set()
+        for n in (1, 2, 3, 4):
+            buckets = e.enumerate_paths_up_to(n, 10)
+            for _ in range(3):
+                dom = e.random_concave_domain(rng, n=n)
+                cap = e.singular_ball_capacity(dom)
+                for delta in (0, cap / 3, cap * Fraction(5, 7)):
+                    seq = e.capacities_via_oracle(dom, 10, delta=delta)
+                    scales.add(seq.scale)
+                    for k, bucket in buckets.items():
+                        assert seq[k] == max(e.omega_length_blowup(dom, p, delta) for p in bucket)
+        assert len(scales) > 3
+
     def test_budget(self):
         with pytest.raises(ResourceLimit):
             e.capacities_via_oracle(B21, DEFAULT_ORACLE_BUDGET + 1)

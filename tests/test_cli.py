@@ -147,7 +147,7 @@ class TestDomain:
         assert "Fraction(" not in err
 
     def test_budget_exit_3(self, capsys, ball_file):
-        code, _, err = run(capsys, ["domain", ball_file, "--kmax", "20", "--method", "oracle"])
+        code, _, err = run(capsys, ["domain", ball_file, "--kmax", "25", "--method", "oracle"])
         assert code == 3
         assert "budget" in err
 

@@ -119,6 +119,12 @@ PATH_COUNTS = {
     4: (1, 1, 2, 5, 10, 18, 29, 42, 57, 80, 110),
 }
 
+# totals over k <= kmax, measured by the enumerator before it pruned chains
+# that cannot close within kmax
+UNPRUNED_TOTALS = {
+    (2, 14): 667, (2, 16): 1171, (2, 20): 3271, (3, 14): 1004, (4, 12): 699, (4, 16): 2402,
+}
+
 
 class TestEnumeration:
     def test_deterministic(self):
@@ -152,6 +158,16 @@ class TestEnumeration:
         for n in (1, 2, 3, 4):
             for k in range(4):
                 assert paths._enumerate_all(n, k + 2)[k] == paths._enumerate_all(n, k)[k]
+
+    def test_totals_match_the_unpruned_enumerator(self):
+        for (n, kmax), total in UNPRUNED_TOTALS.items():
+            buckets = e.enumerate_paths_up_to(n, kmax)
+            assert sum(len(bucket) for bucket in buckets.values()) == total
+
+    def test_prune_does_not_depend_on_kmax(self):
+        for n in (1, 2, 3, 4):
+            for k in range(11):
+                assert paths._enumerate_all(n, k + 4)[k] == paths._enumerate_all(n, k)[k]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
