@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 from . import paths as pth
 from .domains import ConcaveDomain, admissible_delta, omega_length_edge, rotation_numbers
@@ -226,12 +227,20 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     if (r + s) % n != 0:
         raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
     k = (r + s) // n
-    total = n * k * (k + 1) + 2 * k
-    phi_plus = (a - b) / (n * b)
-    phi_minus = (b - a) / (n * a)
-    total += 2 * sum(floor(i * phi_plus) for i in range(1, r + 1))
-    total += 2 * sum(floor(i * phi_minus) for i in range(1, s + 1))
-    return total
+    phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
+    floors = sum(_rotation_floors(phi_plus, r)) + sum(_rotation_floors(phi_minus, s))
+    return n * k * (k + 1) + 2 * k + 2 * floors
+
+
+def _ellipsoid_rotations(n, a, b):
+    """Rotation numbers (phi_plus, phi_minus) of the two exceptional orbits of E_n(a, b)."""
+    return (a - b) / (n * b), (b - a) / (n * a)
+
+
+def _rotation_floors(phi, m: int):
+    """floor(i*phi) for i = 0..m, as ints from phi's numerator and denominator."""
+    p, q = phi.numerator, phi.denominator
+    return (i * p // q for i in range(m + 1))
 
 
 @dataclass(frozen=True)
@@ -270,21 +279,13 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     big_l = pth._count_columns(n, chain) if len(chain) > 1 else 0
     rot = rotation_numbers(domain)
     total = 2 * big_l + 2 * m_plus + 2 * m_minus + gen.h_count()
-    total += 2 * sum(floor(i * rot.phi_plus) for i in range(1, m_plus + 1))
-    total += 2 * sum(floor(j * rot.phi_minus) for j in range(1, m_minus + 1))
+    total += 2 * sum(_rotation_floors(rot.phi_plus, m_plus))
+    total += 2 * sum(_rotation_floors(rot.phi_minus, m_minus))
     return total
 
 
 # ---------------------------------------------------------------------------
 # Index bijectivity for near-irrational ellipsoids
-
-
-def _layer_entries(n, a, b, k):
-    entries = []
-    for r in range(k * n + 1):
-        s = k * n - r
-        entries.append((ellipsoid_orbit_index(n, a, b, r, s), (r, s)))
-    return entries
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
@@ -294,20 +295,37 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     (count T of them) and verifies that the T smallest indices over a
     sufficiently extended range of layers are exactly 0, 2, ..., 2(T-1).
     Returns (ok, certificate) where the certificate is the sorted
-    (index, (r, s)) table of those T orbit sets.
+    (index, (r, s)) table of those T orbit sets.  The rotation floor sums
+    come from two int prefix arrays, so each orbit set costs O(1).  The
+    extension stops after two layers whose indices all exceed the window;
+    a range that has not settled by layer 8*(kmax_layers + 2) raises
+    ResourceLimit.
     """
     a, b = Fraction(a), Fraction(b)
     if kmax_layers < 0:
         raise ValueError("layer count must be non-negative")
+    if a <= 0 or b <= 0:
+        raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     target_count = sum(k * n + 1 for k in range(kmax_layers + 1))
     bound = 2 * (target_count - 1)
+    max_layer = 8 * (kmax_layers + 2)
+    phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
+    # prefix sums: floors_plus[r] is the sum of floor(i*phi_plus) over i <= r
+    floors_plus = list(accumulate(_rotation_floors(phi_plus, max_layer * n)))
+    floors_minus = list(accumulate(_rotation_floors(phi_minus, max_layer * n)))
 
     entries = []
     k = 0
     quiet_layers = 0
     imax = kmax_layers * n
-    while k <= kmax_layers or quiet_layers < 2:
-        layer = _layer_entries(n, a, b, k)
+    while (k <= kmax_layers or quiet_layers < 2) and k <= max_layer:
+        # the index of ellipsoid_orbit_index, with both floor sums looked up
+        m = k * n
+        base = n * k * (k + 1) + 2 * k
+        layer = [
+            (base + 2 * (floors_plus[r] + floors_minus[m - r]), (r, m - r))
+            for r in range(m + 1)
+        ]
         entries.extend(layer)
         if k > kmax_layers:
             quiet_layers = quiet_layers + 1 if min(i for i, _ in layer) > bound else 0
@@ -317,17 +335,19 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
                 if index <= bound:
                     imax = max(imax, r, s)
         k += 1
-        if k > 8 * (kmax_layers + 2):
-            break
 
-    phi_plus = (a - b) / (n * b)
-    phi_minus = (b - a) / (n * a)
-    for i in range(1, imax + 1):
-        if (i * phi_plus).denominator == 1 or (i * phi_minus).denominator == 1:
-            raise DegenerateRatio(
-                f"floor argument is an exact integer at multiplicity {i}; "
-                f"the ratio of a={a}, b={b} is too rational for {kmax_layers} layers"
-            )
+    # i*phi = i*p/q in lowest terms is first an integer at i = q
+    first_integer = min(phi_plus.denominator, phi_minus.denominator)
+    if first_integer <= imax:
+        raise DegenerateRatio(
+            f"floor argument is an exact integer at multiplicity {first_integer}; "
+            f"the ratio of a={a}, b={b} is too rational for {kmax_layers} layers"
+        )
+    if quiet_layers < 2:  # the loop stopped at max_layer
+        raise ResourceLimit(
+            f"indices of a={a}, b={b} did not clear the window of {kmax_layers} layers "
+            f"within the budget of {max_layer} layers"
+        )
 
     entries.sort()
     certificate = entries[:target_count]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import capacities as cap
 from . import paths as pth
@@ -53,24 +54,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _render_value(value, decimal=None) -> str:
-    if decimal is None:
-        return format_rational(value)
+def _render_decimal(value, decimal: int) -> str:
     # Fraction rounding is exact and sends ties to even; capacities are >= 0
     whole, frac = divmod(round(value * 10**decimal), 10**decimal)
     return f"~{whole}.{frac:0{decimal}d}"
 
 
 def _render_sequence(seq, fmt: str, decimal=None, out=None):
-    out = out or sys.stdout
+    """Print a CapacitySequence as a table or CSV; c_k = ints[k]/scale is
+    reduced with one gcd per value, and only --decimal builds Fractions."""
+    write = (out or sys.stdout).write
+    scale = seq.scale
     if fmt == "csv":
-        print("k,numerator,denominator", file=out)
+        write("k,numerator,denominator\n")
+        for k, v in enumerate(seq.ints):
+            g = gcd(v, scale)
+            write(f"{k},{v // g},{scale // g}\n")
+        return
+    write("k  c_k\n")
+    if decimal is not None:
         for k, v in enumerate(seq):
-            print(f"{k},{v.numerator},{v.denominator}", file=out)
-    else:
-        print("k  c_k", file=out)
-        for k, v in enumerate(seq):
-            print(f"{k}  {_render_value(v, decimal)}", file=out)
+            write(f"{k}  {_render_decimal(v, decimal)}\n")
+        return
+    for k, v in enumerate(seq.ints):
+        g = gcd(v, scale)
+        write(f"{k}  {v // g}\n" if g == scale else f"{k}  {v // g}/{scale // g}\n")
 
 
 def _add_format_flags(parser):
@@ -276,10 +284,11 @@ def cmd_index(args) -> int:
 
 def cmd_bijectivity(args) -> int:
     ok, certificate = cap.index_bijectivity_check(args.n, args.a, args.b, args.layers)
-    print("index  r  s")
+    write = sys.stdout.write
+    write("index  r  s\n")
     for index, (r, s) in certificate:
-        print(f"{index}  {r}  {s}")
-    print(f"verdict: {'TRUE' if ok else 'FALSE'}")
+        write(f"{index}  {r}  {s}\n")
+    write(f"verdict: {'TRUE' if ok else 'FALSE'}\n")
     return EXIT_OK if ok else EXIT_INTERNAL
 
 

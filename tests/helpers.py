@@ -1,7 +1,7 @@
 """Shared test oracles, implemented independently of the library internals."""
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 
 def brute_combination_sequence(n, a, b, kmax):
@@ -111,3 +111,65 @@ def packing_closed_form(n, a0, plain_weights, kmax):
             d1 += 1
         out.append(best)
     return tuple(out)
+
+
+def brute_floor_sum(phi, m):
+    """sum of floor(i*phi) over 1 <= i <= m, one Fraction at a time."""
+    return sum(floor(i * phi) for i in range(1, m + 1))
+
+
+def brute_orbit_index(n, a, b, r, s):
+    """Index of the orbit set e+^r e-^s on the boundary of E_n(a, b), with
+    r + s = k*n, summed term by term in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    k = (r + s) // n
+    total = n * k * (k + 1) + 2 * k
+    total += 2 * brute_floor_sum((a - b) / (n * b), r)
+    total += 2 * brute_floor_sum((b - a) / (n * a), s)
+    return total
+
+
+def brute_bijectivity(n, a, b, layers):
+    """(ok, certificate, degenerate) of the index-bijectivity check, by
+    sorting every orbit set whose action t = a*r + b*s is at most A and
+    slicing the T smallest.  floor(x) > x - 1 gives the index of any orbit
+    set a lower bound t^2/(nab) - t/min(a, b), increasing for
+    t >= nab/(2 min(a, b)); A doubles until that bound at A exceeds both the
+    window 2(T-1) and the last certificate index, so no omitted orbit set
+    can enter the certificate.  `degenerate` is the least multiplicity i at
+    which i*phi+ or i*phi- is an integer, among i up to the largest
+    multiplicity of the target layers or of a later orbit set inside the
+    window, or None."""
+    a, b = Fraction(a), Fraction(b)
+    target = sum(k * n + 1 for k in range(layers + 1))
+    bound = 2 * (target - 1)
+    low = min(a, b)
+    big_a = n * a * b / low
+    index = {}
+    while True:
+        rs = [
+            (r, k * n - r)
+            for k in range(int(big_a / low) // n + 1)
+            for r in range(k * n + 1)
+            if a * r + b * (k * n - r) <= big_a
+        ]
+        for r, s in rs:
+            if (r, s) not in index:
+                index[r, s] = brute_orbit_index(n, a, b, r, s)
+        entries = sorted((index[key], key) for key in rs)
+        certificate = entries[:target]
+        floor_at_a = big_a * big_a / (n * a * b) - big_a / low
+        if len(certificate) == target and floor_at_a > max(bound, certificate[-1][0]):
+            break
+        big_a *= 2
+    ok = [i for i, _ in certificate] == list(range(0, 2 * target, 2))
+    imax = max(
+        [layers * n]
+        + [max(r, s) for i, (r, s) in entries if i <= bound and r + s > layers * n]
+    )
+    phis = ((a - b) / (n * b), (b - a) / (n * a))
+    degenerate = next(
+        (i for i in range(1, imax + 1) if any((i * phi).denominator == 1 for phi in phis)),
+        None,
+    )
+    return ok, certificate, degenerate

@@ -15,15 +15,24 @@ from echlens.errors import (
 )
 from helpers import (
     ball_closed_form,
+    brute_bijectivity,
     brute_combination_sequence,
+    brute_floor_sum,
+    brute_orbit_index,
     naive_union,
     packing_closed_form,
+    pick_lattice_count,
 )
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 B22 = e.validate_domain(2, [(4, 2), (0, 2)])
 EXAMPLE = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
 FIB = Fraction(233, 144)
+FIBS = [1, 1]
+while len(FIBS) < 17:
+    FIBS.append(FIBS[-1] + FIBS[-2])
+# the near-irrational ratios b/a of the spectrum benchmark
+SPECTRUM_RATIOS = [Fraction(FIBS[k + 1], FIBS[k]) for k in range(11, 16)]
 
 
 def random_factor(rng, kmax):
@@ -350,6 +359,19 @@ class TestEllipsoidOrbitIndex:
         with pytest.raises(HomologyNotZero):
             e.ellipsoid_orbit_index(2, 1, 1, 1, 0)
 
+    def test_against_term_by_term_sum(self):
+        rng = random.Random(81)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+            b = rng.choice(
+                [a * rng.choice(SPECTRUM_RATIOS), Fraction(rng.randint(1, 60), rng.randint(1, 60))]
+            )
+            r = rng.randint(0, 40)
+            s = rng.randint(0, 40)
+            s += (-(r + s)) % n
+            assert e.ellipsoid_orbit_index(n, a, b, r, s) == brute_orbit_index(n, a, b, r, s)
+
 
 class TestOrbitSetIndex:
     def test_reduces_to_generator_index(self):
@@ -380,6 +402,30 @@ class TestOrbitSetIndex:
         with pytest.raises(HomologyNotZero):
             e.orbit_set_index(B21, orbit)
 
+    def test_exceptional_powers_against_pick_and_term_by_term_sums(self):
+        # empty generator: the auxiliary chain runs along y = M from the ray
+        # to the y-axis, turning at (M*n - m_plus, M)
+        rng = random.Random(82)
+        empty = {n: e.ConcaveGenerator(path=e.empty_path(n), labels=()) for n in range(1, 5)}
+        for _ in range(120):
+            dom = e.random_concave_domain(rng)
+            n = dom.n
+            m_plus = rng.randint(0, 30)
+            m_minus = rng.randint(0, 30)
+            m_minus += (-(m_plus + m_minus)) % n
+            big_m = (m_plus + m_minus) // n
+            chain = [(big_m * n, big_m)]
+            if m_plus and m_minus:
+                chain.append((big_m * n - m_plus, big_m))
+            chain.append((0, big_m))
+            count = pick_lattice_count(n, chain) if big_m else 0
+            rot = e.rotation_numbers(dom)
+            expected = 2 * count + 2 * m_plus + 2 * m_minus
+            expected += 2 * brute_floor_sum(rot.phi_plus, m_plus)
+            expected += 2 * brute_floor_sum(rot.phi_minus, m_minus)
+            orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty[n])
+            assert e.orbit_set_index(dom, orbit) == expected
+
 
 class TestBijectivity:
     def test_classical(self):
@@ -403,6 +449,53 @@ class TestBijectivity:
         ok, cert = e.index_bijectivity_check(2, 1, 1, 0)
         assert ok
         assert cert == [(0, (0, 0))]
+
+    def test_benchmark_ratios_against_sort_and_slice(self):
+        for n in range(1, 5):
+            for b in SPECTRUM_RATIOS:
+                for layers in (0, 1, 3, 12 // n):
+                    ok, cert, degenerate = brute_bijectivity(n, 1, b, layers)
+                    assert degenerate is None
+                    assert ok
+                    assert e.index_bijectivity_check(n, 1, b, layers) == (ok, cert)
+
+    def test_near_irrational_against_sort_and_slice(self):
+        # a random scale times a continued-fraction convergent of sqrt(2),
+        # sqrt(3), sqrt(5) or the golden ratio, either way round
+        convergents = [Fraction(99, 70), Fraction(97, 56), Fraction(161, 72), Fraction(89, 55)]
+        rng = random.Random(83)
+        for _ in range(24):
+            n = rng.randint(1, 4)
+            a = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            ratio = rng.choice(convergents)
+            b = a * ratio if rng.random() < 0.5 else a / ratio
+            layers = rng.randint(1, 16 // n)
+            ok, cert, degenerate = brute_bijectivity(n, a, b, layers)
+            if degenerate is not None:
+                with pytest.raises(DegenerateRatio, match=f"multiplicity {degenerate};"):
+                    e.index_bijectivity_check(n, a, b, layers)
+            else:
+                assert e.index_bijectivity_check(n, a, b, layers) == (ok, cert)
+
+    def test_degenerate_ratio_multiplicity(self):
+        # phi+ = -2/7 and phi- = 2/5: 5*phi- is the first integer argument
+        for layers in range(7):
+            ok, cert, degenerate = brute_bijectivity(1, 5, 7, layers)
+            if degenerate is None:
+                assert e.index_bijectivity_check(1, 5, 7, layers) == (ok, cert)
+            else:
+                assert degenerate == 5
+                with pytest.raises(DegenerateRatio, match="multiplicity 5;"):
+                    e.index_bijectivity_check(1, 5, 7, layers)
+
+    def test_unsettled_extension_is_a_budget_error(self):
+        with pytest.raises(ResourceLimit, match="budget"):
+            e.index_bijectivity_check(1, Fraction(1009, 1013), Fraction(70001, 7), 20)
+
+    def test_non_positive_parameters(self):
+        for a, b in ((0, 1), (1, 0), (-1, 2), (2, Fraction(-1, 3))):
+            with pytest.raises(NonPositivePeriod):
+                e.index_bijectivity_check(2, a, b, 3)
 
     def test_spectrum_reproduces_generator(self):
         for n in (1, 2):

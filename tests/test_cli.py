@@ -83,6 +83,22 @@ class TestEllipsoid:
         assert info.value.code == 2
 
 
+    def test_table_and_csv_rows_are_the_reduced_values(self, capsys):
+        argv = ["ellipsoid", "--n", "3", "--a", "5/3", "--b", "233/144", "--kmax", "60"]
+        values = capacities.ellipsoid_sequence(3, Fraction(5, 3), Fraction(233, 144), 60)
+        _, table, _ = run(capsys, argv)
+        _, csv, _ = run(capsys, argv + ["--format", "csv"])
+        assert table.splitlines()[1:] == [
+            f"{k}  {geometry.format_rational(v)}" for k, v in enumerate(values)
+        ]
+        assert csv.splitlines()[1:] == [
+            f"{k},{v.numerator},{v.denominator}" for k, v in enumerate(values)
+        ]
+        assert any(v.denominator > 1 for v in values) and any(
+            v.denominator == 1 for v in values
+        )
+
+
 class TestBall:
     def test_classical(self, capsys):
         code, out, _ = run(capsys, ["ball", "--a", "1", "--kmax", "6"])
@@ -279,6 +295,15 @@ class TestBijectivity:
         code, _, err = run(capsys, ["bijectivity", "--n", "2", "--a", "1", "--b", "1", "--layers", "2"])
         assert code == 2
         assert "too rational" in err
+
+    def test_unsettled_extension_exit_3(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["bijectivity", "--n", "1", "--a", "1009/1013", "--b", "70001/7", "--layers", "20"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
 
 
 class TestDeterminism:
