@@ -1,56 +1,77 @@
 """Exact ECH capacities of concave toric domains in the singular toric
-orbifolds M_n with lens-space boundary L(n,1)."""
+orbifolds M_n with lens-space boundary L(n,1).
 
-from .capacities import (
-    CapacitySequence,
-    ObstructionReport,
-    OrbitSetDescriptor,
-    capacities_via_oracle,
-    capacities_via_weights,
-    ellipsoid_orbit_index,
-    ellipsoid_sequence,
-    index_bijectivity_check,
-    obstruction_report,
-    orbit_set_index,
-    spectrum_from_orbit_indices,
-    union_sequence,
-)
-from .checks import CheckResult, random_concave_domain, run_check
-from .domains import (
-    ConcaveDomain,
-    RotationNumbers,
-    boundary_height,
-    contains_point,
-    domain_area,
-    omega_length_blowup,
-    omega_length_edge,
-    omega_length_path,
-    parse_domain_file,
-    rotation_numbers,
-    scale_domain,
-    singular_ball_capacity,
-    validate_domain,
-)
-from .errors import EchLensError
-from .geometry import cross, format_rational, in_cone, parse_rational
-from .paths import (
-    ConcaveGenerator,
-    IntegralPath,
-    coround_corner,
-    empty_path,
-    enumerate_paths_up_to,
-    generator_index,
-    homology_class,
-    lattice_count,
-    make_path,
-    parse_path_text,
-    path_from_vertices,
-    path_to_text,
-)
-from .weights import (
-    WeightExpansion,
-    singular_weight_expansion,
-    split_domain,
-)
+The names below are re-exported from their submodules, each of which loads
+on first use (PEP 562), so a CLI job compiles only the modules it runs.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "capacities": (
+        "CapacitySequence",
+        "ObstructionReport",
+        "OrbitSetDescriptor",
+        "capacities_via_oracle",
+        "capacities_via_weights",
+        "ellipsoid_orbit_index",
+        "ellipsoid_sequence",
+        "index_bijectivity_check",
+        "obstruction_report",
+        "orbit_set_index",
+        "spectrum_from_orbit_indices",
+        "union_sequence",
+    ),
+    "checks": ("CheckResult", "random_concave_domain", "run_check"),
+    "domains": (
+        "ConcaveDomain",
+        "RotationNumbers",
+        "boundary_height",
+        "contains_point",
+        "domain_area",
+        "omega_length_blowup",
+        "omega_length_edge",
+        "omega_length_path",
+        "parse_domain_file",
+        "rotation_numbers",
+        "scale_domain",
+        "singular_ball_capacity",
+        "validate_domain",
+    ),
+    "errors": ("EchLensError",),
+    "geometry": ("cross", "format_rational", "in_cone", "parse_rational"),
+    "paths": (
+        "ConcaveGenerator",
+        "IntegralPath",
+        "coround_corner",
+        "empty_path",
+        "enumerate_paths_up_to",
+        "generator_index",
+        "homology_class",
+        "lattice_count",
+        "make_path",
+        "parse_path_text",
+        "path_from_vertices",
+        "path_to_text",
+    ),
+    "weights": ("WeightExpansion", "singular_weight_expansion", "split_domain"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the submodules themselves, then every name they export
+__all__ = [*_EXPORTS, *_SOURCE]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

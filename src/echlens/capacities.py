@@ -10,13 +10,10 @@ for near-irrational ellipsoids live here too.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from . import paths as pth
-from .domains import ConcaveDomain, admissible_delta, omega_length_edge, rotation_numbers
 from .errors import (
     DegenerateRatio,
     HomologyNotZero,
@@ -26,9 +23,16 @@ from .errors import (
     ResourceLimit,
 )
 from .geometry import in_cone
-from .weights import singular_weight_expansion
+from .record import Record, _set
+
+# domains, paths and weights are imported in the routes that use them (here
+# only for annotations), so the generator and the index kernels load none
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .domains import ConcaveDomain
 
 DEFAULT_ORACLE_BUDGET = 24
+INDEX_MULTIPLICITY_BUDGET = 1 << 20
 
 MONOTONICITY_NOTE = (
     "no capacity obstruction found is not evidence that an embedding exists; "
@@ -38,29 +42,30 @@ MONOTONICITY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CapacitySequence:
+class CapacitySequence(Record):
     """Exact capacities c_k = ints[k] / scale for k = 0..kmax, stored in
     lowest terms (gcd(scale, *ints) == 1), so equal sequences compare and
     hash equal."""
 
-    ints: tuple
-    scale: int = 1
+    __slots__ = ("ints", "scale")
 
-    def __post_init__(self):
-        ints = tuple(self.ints)
+    def __init__(self, ints, scale=1):
+        # a list or tuple is checked and reduced as it is, so the stored
+        # tuple is the only one built
+        if not isinstance(ints, (tuple, list)):
+            ints = tuple(ints)
         if not ints:
             raise ValueError("a capacity sequence holds c_0..c_kmax, got no values")
-        if self.scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {self.scale}")
+        if scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale}")
         if ints[0] != 0:
-            raise ValueError(f"c_0 must be 0, got {Fraction(ints[0], self.scale)}")
+            raise ValueError(f"c_0 must be 0, got {Fraction(ints[0], scale)}")
         for k in range(len(ints) - 1):
             if ints[k] > ints[k + 1]:
                 raise ValueError(f"sequence decreases at k={k}")
-        g = gcd(self.scale, *ints)
-        object.__setattr__(self, "ints", ints if g == 1 else tuple(v // g for v in ints))
-        object.__setattr__(self, "scale", self.scale // g)
+        g = gcd(scale, *ints)
+        _set(self, "ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
+        _set(self, "scale", scale // g)
 
     @classmethod
     def of(cls, values) -> CapacitySequence:
@@ -113,7 +118,7 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
         value, k1, k2 = heapq.heappop(heap)
         out.append(value)
         heapq.heappush(heap, (value + n * ib, k1, k2 + n))
-    return CapacitySequence(tuple(out), scale)
+    return CapacitySequence(out, scale)
 
 
 def union_sequence(sequences, kmax: int) -> CapacitySequence:
@@ -137,11 +142,13 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
             if v != vals[j - 1]:
                 new[j:] = [y if y > x + v else x + v for y, x in zip(new[j:], acc)]
         acc = new
-    return CapacitySequence(tuple(acc), scale)
+    return CapacitySequence(acc, scale)
 
 
 def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence:
     """Packing route: weight expansion, then disjoint-union of ball capacities."""
+    from .weights import singular_weight_expansion
+
     expansion = singular_weight_expansion(domain)
     w0 = expansion.singular_weight
     seqs = [ellipsoid_sequence(domain.n, w0, w0, kmax)]
@@ -158,12 +165,15 @@ def capacities_via_oracle(
     the domain itself).  omega_length_edge depends only on the primitive
     direction, so each direction met is priced once, as an int over the LCM
     of the vertex and delta denominators, and a path's length is an int sum."""
+    from .domains import admissible_delta, omega_length_edge
+    from .paths import enumerate_paths_up_to
+
     delta = admissible_delta(domain, delta)
     if kmax > budget:
         raise ResourceLimit(
             f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
         )
-    buckets = pth.enumerate_paths_up_to(domain.n, kmax)
+    buckets = enumerate_paths_up_to(domain.n, kmax)
     scale = lcm(delta.denominator, *(c.denominator for v in domain.vertices for c in v))
     shift = int(delta * scale)
     prices = {}
@@ -182,14 +192,14 @@ def capacities_via_oracle(
         if not buckets[k]:
             raise AssertionError(f"no concave path with L_{domain.n} = {k}")
         out.append(max(map(length, buckets[k])))
-    return CapacitySequence(tuple(out), scale)
+    return CapacitySequence(out, scale)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    kmax: int
-    violations: tuple  # ((k, source_value, target_value), ...)
-    note: str = MONOTONICITY_NOTE
+class ObstructionReport(Record):
+    __slots__ = ("kmax", "violations", "note")  # violations: ((k, source, target), ...)
+
+    def __init__(self, kmax, violations, note=MONOTONICITY_NOTE):
+        super().__init__(kmax, violations, note)
 
     @property
     def obstructed(self) -> bool:
@@ -243,16 +253,16 @@ def _rotation_floors(phi, m: int):
     return (i * p // q for i in range(m + 1))
 
 
-@dataclass(frozen=True)
-class OrbitSetDescriptor:
-    m_plus: int
-    m_minus: int
-    generator: pth.ConcaveGenerator
+class OrbitSetDescriptor(Record):
+    __slots__ = ("m_plus", "m_minus", "generator")  # generator: paths.ConcaveGenerator
 
 
 def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     """Index of an orbit set with exceptional-orbit powers, via the auxiliary
     path obtained by padding the generator with horizontal unit edges."""
+    from .domains import rotation_numbers
+    from .paths import _count_columns
+
     n = domain.n
     gen = orbit.generator
     m_plus, m_minus = orbit.m_plus, orbit.m_minus
@@ -276,7 +286,7 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     for v in chain:
         if not in_cone(v, n):
             raise PathError(f"auxiliary path vertex {v} leaves the cone")
-    big_l = pth._count_columns(n, chain) if len(chain) > 1 else 0
+    big_l = _count_columns(n, chain) if len(chain) > 1 else 0
     rot = rotation_numbers(domain)
     total = 2 * big_l + 2 * m_plus + 2 * m_minus + gen.h_count()
     total += 2 * sum(_rotation_floors(rot.phi_plus, m_plus))
@@ -292,14 +302,17 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     """Check that the index is a bijection onto the even numbers at desk scale.
 
     Considers every orbit set in layers r + s = k*n for k <= kmax_layers
-    (count T of them) and verifies that the T smallest indices over a
-    sufficiently extended range of layers are exactly 0, 2, ..., 2(T-1).
-    Returns (ok, certificate) where the certificate is the sorted
-    (index, (r, s)) table of those T orbit sets.  The rotation floor sums
-    come from two int prefix arrays, so each orbit set costs O(1).  The
-    extension stops after two layers whose indices all exceed the window;
-    a range that has not settled by layer 8*(kmax_layers + 2) raises
-    ResourceLimit.
+    (count T of them) and verifies that the T smallest indices over all
+    orbit sets are exactly 0, 2, ..., 2(T-1).  Returns (ok, certificate)
+    where the certificate is the sorted (index, (r, s)) table of the T
+    smallest among those layers and every later orbit set that can enter
+    the window [0, 2(T-1)].  floor(x) > x - 1 bounds the index of the orbit
+    set of action t = a*r + b*s below by t^2/(nab) - t/min(a, b), so the
+    window's top fixes the last action, and the last layer, that can enter
+    it.  The rotation floor sums come from two int prefix arrays sized to
+    the largest multiplicity scanned, so each orbit set costs O(1); a scan
+    whose multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
+    ResourceLimit before any work.
     """
     a, b = Fraction(a), Fraction(b)
     if kmax_layers < 0:
@@ -308,33 +321,46 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     target_count = sum(k * n + 1 for k in range(kmax_layers + 1))
     bound = 2 * (target_count - 1)
-    max_layer = 8 * (kmax_layers + 2)
+    top = kmax_layers * n
+    # In units u = t*d of the common denominator d, with a = ia/d and
+    # b = ib/d, the lower bound stays in the window exactly when
+    # u*(u - n*max(ia, ib)) <= n*ia*ib*bound, that is when u <= u_max.
+    d = lcm(a.denominator, b.denominator)
+    ia, ib = int(a * d), int(b * d)
+    nh = n * max(ia, ib)
+    u_max = (nh + isqrt(nh * nh + 4 * n * ia * ib * bound)) // 2
+    top_r, top_s = max(top, u_max // ia), max(top, u_max // ib)
+    if max(top_r, top_s) > INDEX_MULTIPLICITY_BUDGET:
+        raise ResourceLimit(
+            f"orbit sets of a={a}, b={b} up to layer {u_max // (n * min(ia, ib))} can enter "
+            f"the window of {kmax_layers} layers; their multiplicities reach "
+            f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
+        )
     phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
     # prefix sums: floors_plus[r] is the sum of floor(i*phi_plus) over i <= r
-    floors_plus = list(accumulate(_rotation_floors(phi_plus, max_layer * n)))
-    floors_minus = list(accumulate(_rotation_floors(phi_minus, max_layer * n)))
+    floors_plus = list(accumulate(_rotation_floors(phi_plus, top_r)))
+    floors_minus = list(accumulate(_rotation_floors(phi_minus, top_s)))
 
+    # the index of ellipsoid_orbit_index, with both floor sums looked up
     entries = []
-    k = 0
-    quiet_layers = 0
-    imax = kmax_layers * n
-    while (k <= kmax_layers or quiet_layers < 2) and k <= max_layer:
-        # the index of ellipsoid_orbit_index, with both floor sums looked up
+    for k in range(kmax_layers + 1):
         m = k * n
         base = n * k * (k + 1) + 2 * k
-        layer = [
+        entries.extend(
             (base + 2 * (floors_plus[r] + floors_minus[m - r]), (r, m - r))
             for r in range(m + 1)
-        ]
-        entries.extend(layer)
-        if k > kmax_layers:
-            quiet_layers = quiet_layers + 1 if min(i for i, _ in layer) > bound else 0
-            # extension entries influence the verdict (and thus need exact
-            # floors) only when they can land inside the target window
-            for index, (r, s) in layer:
-                if index <= bound:
-                    imax = max(imax, r, s)
-        k += 1
+        )
+    # later layers: r + s a multiple of n above top, a*r + b*s within u_max
+    imax = top
+    for s in range(u_max // ib + 1):
+        for r in range(max(-s % n, top + n - s), (u_max - ib * s) // ia + 1, n):
+            k = (r + s) // n
+            index = n * k * (k + 1) + 2 * k + 2 * (floors_plus[r] + floors_minus[s])
+            entries.append((index, (r, s)))
+            # such entries influence the verdict (and thus need exact
+            # floors) only when they land inside the target window
+            if index <= bound:
+                imax = max(imax, r, s)
 
     # i*phi = i*p/q in lowest terms is first an integer at i = q
     first_integer = min(phi_plus.denominator, phi_minus.denominator)
@@ -342,11 +368,6 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
         raise DegenerateRatio(
             f"floor argument is an exact integer at multiplicity {first_integer}; "
             f"the ratio of a={a}, b={b} is too rational for {kmax_layers} layers"
-        )
-    if quiet_layers < 2:  # the loop stopped at max_layer
-        raise ResourceLimit(
-            f"indices of a={a}, b={b} did not clear the window of {kmax_layers} layers "
-            f"within the budget of {max_layer} layers"
         )
 
     entries.sort()

@@ -8,12 +8,12 @@ makes the whole batch reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacities import capacities_via_oracle, capacities_via_weights
 from .domains import ConcaveDomain, validate_domain
 from .errors import DomainError
+from .record import Record
 
 DEFAULT_SEED = 2024
 
@@ -52,12 +52,9 @@ def random_concave_domain(
             continue
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    trials: int
-    kmax: int
-    seed: int
-    failure: tuple | None  # (trial, k, weights_value, oracle_value, domain)
+class CheckResult(Record):
+    # failure: (trial, k, weights_value, oracle_value, domain), or None
+    __slots__ = ("trials", "kmax", "seed", "failure")
 
     @property
     def passed(self) -> bool:

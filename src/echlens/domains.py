@@ -9,7 +9,6 @@ and fixes every sign convention downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
@@ -27,12 +26,12 @@ from .errors import (
     WrongOrientation,
     ZeroEdge,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ConcaveDomain:
-    n: int
-    vertices: tuple  # ((x, y), ...) exact rationals, ray endpoint first
+class ConcaveDomain(Record):
+    # vertices: ((x, y), ...) exact rationals, ray endpoint first
+    __slots__ = ("n", "vertices")
 
     @property
     def a0(self) -> Fraction:
@@ -49,10 +48,8 @@ class ConcaveDomain:
         return [geo.vec_sub(v[i + 1], v[i]) for i in range(len(v) - 1)]
 
 
-@dataclass(frozen=True)
-class RotationNumbers:
-    phi_plus: Fraction
-    phi_minus: Fraction
+class RotationNumbers(Record):
+    __slots__ = ("phi_plus", "phi_minus")  # Fractions
 
 
 def validate_domain(n: int, vertices) -> ConcaveDomain:

@@ -14,19 +14,24 @@ generators all live here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import ceil, gcd
 
 from . import geometry as geo
 from .domains import boundary_height, validate_domain
 from .errors import DomainError, InvalidVertex, PathError, ZeroEdge
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class IntegralPath:
-    n: int
-    start: tuple  # (M*n, M), integers
-    edges: tuple  # (((-p, q), mult), ...) primitive directions, slopes increasing
+class IntegralPath(Record):
+    # start: (M*n, M), integers; edges: (((-p, q), mult), ...) primitive
+    # directions, slopes increasing
+    __slots__ = ("n", "start", "edges")
+
+    def __init__(self, n, start, edges):
+        # positional and explicit: the enumeration builds one per path
+        _set(self, "n", n)
+        _set(self, "start", start)
+        _set(self, "edges", edges)
 
     def vertices(self):
         out = [self.start]
@@ -44,10 +49,8 @@ class IntegralPath:
         return not self.edges
 
 
-@dataclass(frozen=True)
-class ConcaveGenerator:
-    path: IntegralPath
-    labels: tuple  # one 'e'/'h' per distinct edge direction
+class ConcaveGenerator(Record):
+    __slots__ = ("path", "labels")  # labels: one 'e'/'h' per distinct edge direction
 
     def h_count(self) -> int:
         return sum(1 for lab in self.labels if lab == "h")

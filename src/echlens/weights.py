@@ -9,18 +9,16 @@ The expansion terminates for rational input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry as geo
 from .domains import ConcaveDomain, domain_area, singular_ball_capacity, validate_domain
 from .errors import DomainError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WeightExpansion:
-    singular_weight: Fraction
-    plain_weights: tuple  # sorted non-increasing
+class WeightExpansion(Record):
+    __slots__ = ("singular_weight", "plain_weights")  # plain_weights sorted non-increasing
 
     def as_multiset(self):
         return [self.singular_weight, *self.plain_weights]

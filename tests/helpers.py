@@ -1,6 +1,7 @@
 """Shared test oracles, implemented independently of the library internals."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, gcd
 
 
@@ -129,6 +130,11 @@ def brute_orbit_index(n, a, b, r, s):
     return total
 
 
+def brute_floor_sums(phi, m):
+    """[brute_floor_sum(phi, j) for j = 0..m], one Fraction floor per i."""
+    return list(accumulate((floor(i * phi) for i in range(1, m + 1)), initial=0))
+
+
 def brute_bijectivity(n, a, b, layers):
     """(ok, certificate, degenerate) of the index-bijectivity check, by
     sorting every orbit set whose action t = a*r + b*s is at most A and
@@ -136,27 +142,32 @@ def brute_bijectivity(n, a, b, layers):
     set a lower bound t^2/(nab) - t/min(a, b), increasing for
     t >= nab/(2 min(a, b)); A doubles until that bound at A exceeds both the
     window 2(T-1) and the last certificate index, so no omitted orbit set
-    can enter the certificate.  `degenerate` is the least multiplicity i at
-    which i*phi+ or i*phi- is an integer, among i up to the largest
-    multiplicity of the target layers or of a later orbit set inside the
-    window, or None."""
+    can enter the certificate.  The orbit sets come from the triangle
+    a*r + b*s <= A, row by row in r, so a ratio b/a far from 1 costs the
+    orbit sets in it, not the layers it spans.  `degenerate` is the least
+    multiplicity i at which i*phi+ or i*phi- is an integer, among i up to
+    the largest multiplicity of the target layers or of a later orbit set
+    inside the window, or None."""
     a, b = Fraction(a), Fraction(b)
     target = sum(k * n + 1 for k in range(layers + 1))
     bound = 2 * (target - 1)
     low = min(a, b)
     big_a = n * a * b / low
-    index = {}
+    phis = ((a - b) / (n * b), (b - a) / (n * a))
     while True:
         rs = [
-            (r, k * n - r)
-            for k in range(int(big_a / low) // n + 1)
-            for r in range(k * n + 1)
-            if a * r + b * (k * n - r) <= big_a
+            (r, s)
+            for r in range(floor(big_a / a) + 1)
+            for s in range(floor((big_a - a * r) / b) + 1)
+            if (r + s) % n == 0
         ]
-        for r, s in rs:
-            if (r, s) not in index:
-                index[r, s] = brute_orbit_index(n, a, b, r, s)
-        entries = sorted((index[key], key) for key in rs)
+        plus = brute_floor_sums(phis[0], max(r for r, _ in rs))
+        minus = brute_floor_sums(phis[1], max(s for _, s in rs))
+        entries = sorted(
+            (n * k * (k + 1) + 2 * k + 2 * (plus[r] + minus[s]), (r, s))
+            for r, s in rs
+            for k in [(r + s) // n]
+        )
         certificate = entries[:target]
         floor_at_a = big_a * big_a / (n * a * b) - big_a / low
         if len(certificate) == target and floor_at_a > max(bound, certificate[-1][0]):
@@ -167,7 +178,6 @@ def brute_bijectivity(n, a, b, layers):
         [layers * n]
         + [max(r, s) for i, (r, s) in entries if i <= bound and r + s > layers * n]
     )
-    phis = ((a - b) / (n * b), (b - a) / (n * a))
     degenerate = next(
         (i for i in range(1, imax + 1) if any((i * phi).denominator == 1 for phi in phis)),
         None,

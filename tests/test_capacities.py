@@ -488,9 +488,19 @@ class TestBijectivity:
                 with pytest.raises(DegenerateRatio, match="multiplicity 5;"):
                     e.index_bijectivity_check(1, 5, 7, layers)
 
-    def test_unsettled_extension_is_a_budget_error(self):
+    def test_far_ratio_against_sort_and_slice(self):
+        # b/a near 10^4: the certificate reaches layer 230 and the window's
+        # last layer is past 10^4, far beyond the 20 layers asked for
+        a, b = Fraction(1009, 1013), Fraction(70001, 7)
+        ok, cert, degenerate = brute_bijectivity(1, a, b, 20)
+        assert ok and degenerate is None
+        assert max(r + s for _, (r, s) in cert) == 230
+        assert e.index_bijectivity_check(1, a, b, 20) == (ok, cert)
+
+    def test_extension_past_the_budget_is_a_resource_error(self):
+        # the window's last layer is known before any work, and it is past 10^7
         with pytest.raises(ResourceLimit, match="budget"):
-            e.index_bijectivity_check(1, Fraction(1009, 1013), Fraction(70001, 7), 20)
+            e.index_bijectivity_check(1, 1, Fraction(10**7 + 1, 1), 1)
 
     def test_non_positive_parameters(self):
         for a, b in ((0, 1), (1, 0), (-1, 2), (2, Fraction(-1, 3))):

@@ -204,6 +204,7 @@ class TestCheck:
     def test_file(self, capsys, ball_file):
         code, out, _ = run(capsys, ["check", "--trials", "1", "--kmax", "5", "--file", ball_file])
         assert code == 0
+        assert out.splitlines()[0] == f"seed {checks.DEFAULT_SEED}"
         assert "PASS" in out
 
     def test_corrupt_hook_fails(self, capsys, monkeypatch, ball_file):
@@ -296,10 +297,17 @@ class TestBijectivity:
         assert code == 2
         assert "too rational" in err
 
-    def test_unsettled_extension_exit_3(self, capsys):
-        code, out, err = run(
+    def test_far_ratio_true(self, capsys):
+        code, out, _ = run(
             capsys,
             ["bijectivity", "--n", "1", "--a", "1009/1013", "--b", "70001/7", "--layers", "20"],
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "verdict: TRUE"
+
+    def test_extension_past_the_budget_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, ["bijectivity", "--n", "1", "--a", "1", "--b", "10000001", "--layers", "1"]
         )
         assert code == 3
         assert out == ""
