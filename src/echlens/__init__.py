@@ -29,9 +29,7 @@ _EXPORTS = {
         "boundary_height",
         "contains_point",
         "domain_area",
-        "omega_length_blowup",
         "omega_length_edge",
-        "omega_length_path",
         "parse_domain_file",
         "rotation_numbers",
         "scale_domain",

@@ -16,8 +16,10 @@ from math import gcd, isqrt, lcm
 
 from .errors import (
     DegenerateRatio,
+    DeltaTooLarge,
     HomologyNotZero,
     InsufficientLength,
+    MismatchedN,
     NonPositivePeriod,
     PathError,
     ResourceLimit,
@@ -165,10 +167,13 @@ def capacities_via_oracle(
     the domain itself).  omega_length_edge depends only on the primitive
     direction, so each direction met is priced once, as an int over the LCM
     of the vertex and delta denominators, and a path's length is an int sum."""
-    from .domains import admissible_delta, omega_length_edge
+    from .domains import omega_length_edge, singular_ball_capacity
     from .paths import enumerate_paths_up_to
 
-    delta = admissible_delta(domain, delta)
+    # the blown-up region must stay strictly inside the domain
+    delta = Fraction(delta)
+    if delta < 0 or (delta > 0 and delta >= singular_ball_capacity(domain)):
+        raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
     if kmax > budget:
         raise ResourceLimit(
             f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
@@ -265,6 +270,8 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
 
     n = domain.n
     gen = orbit.generator
+    if gen.path.n != n:
+        raise MismatchedN(f"generator path has n={gen.path.n}, domain has n={n}")
     m_plus, m_minus = orbit.m_plus, orbit.m_minus
     if m_plus < 0 or m_minus < 0:
         raise ValueError("exceptional multiplicities must be non-negative")

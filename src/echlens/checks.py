@@ -61,19 +61,12 @@ class CheckResult(Record):
         return self.failure is None
 
 
-def run_check(
-    trials: int,
-    kmax: int,
-    seed: int = DEFAULT_SEED,
-    domain: ConcaveDomain | None = None,
-) -> CheckResult:
-    """Compare the weight route against the oracle route on `trials` domains.
-
-    With an explicit domain, every trial reuses it.
-    """
+def run_check(trials: int, kmax: int, seed: int = DEFAULT_SEED) -> CheckResult:
+    """Compare the weight route against the oracle route on `trials` random
+    domains drawn from one seeded generator."""
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
-        dom = domain if domain is not None else random_concave_domain(rng)
+        dom = random_concave_domain(rng)
         via_w = capacities_via_weights(dom, kmax)
         via_o = capacities_via_oracle(dom, kmax)
         for k in range(kmax + 1):

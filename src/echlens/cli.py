@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--kmax", type=_nonneg_int, default=8)
     p.add_argument("--seed", type=int, default=None)  # None: checks.DEFAULT_SEED
-    p.add_argument("--file", default=None, help="check this domain instead of random ones")
 
     p = sub.add_parser("blowup", help="capacities of a rational blow-up")
     p.add_argument("file")
@@ -229,23 +228,23 @@ def cmd_weights(args) -> int:
 def cmd_check(args) -> int:
     from .checks import DEFAULT_SEED, run_check
 
-    domain = _load_domain(args.file) if args.file else None
     result = run_check(
         trials=args.trials,
         kmax=args.kmax,
         seed=DEFAULT_SEED if args.seed is None else args.seed,
-        domain=domain,
     )
     print(f"seed {result.seed}")
     if result.passed:
         print(f"PASS trials={result.trials} kmax={result.kmax}")
         return EXIT_OK
     trial, k, wv, ov, dom = result.failure
-    verts = " ".join(format_point(v) for v in dom.vertices)
     print(
         f"FAIL trial={trial} k={k} weights={format_rational(wv)} "
-        f"oracle={format_rational(ov)} n={dom.n} vertices={verts}"
+        f"oracle={format_rational(ov)}"
     )
+    # the failing domain as a domain file, for `echlens domain F --method both`
+    print(f"n = {dom.n}")
+    print("vertices = " + " ".join(format_point(v) for v in dom.vertices))
     return EXIT_INTERNAL
 
 

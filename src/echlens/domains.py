@@ -1,4 +1,4 @@
-"""Concave toric domains over the cone V_n and the length functional on paths.
+"""Concave toric domains over the cone V_n and the length of lattice edges.
 
 A domain is described by the vertex chain of its upper boundary, traversed
 from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  The length
@@ -15,10 +15,8 @@ from . import geometry as geo
 from .errors import (
     ComplementNotConvex,
     DegenerateEdge,
-    DeltaTooLarge,
     EmptyBoundary,
     EndpointNotOnRay,
-    MismatchedN,
     NonPositiveScale,
     NotGraphOfFunction,
     ParseError,
@@ -97,35 +95,10 @@ def omega_length_edge(domain: ConcaveDomain, v) -> Fraction:
     return min(geo.cross(p, v) for p in domain.vertices)
 
 
-def omega_length_path(domain: ConcaveDomain, path) -> Fraction:
-    """Sum of edge lengths over a lattice path (edges weighted by multiplicity)."""
-    if path.n != domain.n:
-        raise MismatchedN(f"path has n={path.n}, domain has n={domain.n}")
-    total = Fraction(0)
-    for direction, mult in path.edges:
-        total += mult * omega_length_edge(domain, direction)
-    return total
-
-
 def singular_ball_capacity(domain: ConcaveDomain) -> Fraction:
     """Largest a with the singular ball B_n(a) included in the domain: the
     triangle of size a fits exactly when it stays under the lowest vertex."""
     return min(Fraction(v[1]) for v in domain.vertices)
-
-
-def admissible_delta(domain: ConcaveDomain, delta) -> Fraction:
-    """delta as a Fraction, if the blow-up of that size leaves its region
-    strictly inside the domain; delta = 0 (no blow-up) is always admissible."""
-    delta = Fraction(delta)
-    if delta < 0 or (delta > 0 and delta >= singular_ball_capacity(domain)):
-        raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
-    return delta
-
-
-def omega_length_blowup(domain: ConcaveDomain, path, delta) -> Fraction:
-    """Length after a rational blow-up of size delta: l - delta * y(path)."""
-    delta = admissible_delta(domain, delta)
-    return omega_length_path(domain, path) - delta * path.start[0]
 
 
 def scale_domain(domain: ConcaveDomain, r) -> ConcaveDomain:

@@ -1,4 +1,4 @@
-"""Exact 2D primitives: rational scalars, cross products, cone tests, SL2(Z) maps.
+"""Exact 2D primitives: rational scalars, cross products, cone tests, parsing.
 
 All scalars are `fractions.Fraction` (or plain int where a value is known to
 be integral); nothing in the library ever rounds.
@@ -12,21 +12,7 @@ from math import gcd
 
 from .errors import ParseError
 
-# Points and lattice vectors are plain (x, y) pairs; a 2x2 matrix is a pair
-# of rows ((m11, m12), (m21, m22)).
-
-
-def cone_change_matrix(n: int):
-    """Matrix sending the (n,1)-ray corner of the cone to the standard quadrant.
-
-    SHEAR_DOWN carries the standard quadrant onto V_1, and
-    SHEAR_DOWN @ cone_change_matrix(n) = cone_change_matrix(n + 1), so
-    cone_change_matrix(n + 1) carries the corner of V_n onto V_1.
-    """
-    return ((0, 1), (-1, n))
-
-
-SHEAR_DOWN = ((1, 0), (1, 1))
+# Points and lattice vectors are plain (x, y) pairs.
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -63,24 +49,6 @@ def in_cone(p, n: int) -> bool:
 
 def strictly_in_cone(p, n: int) -> bool:
     return p[0] > 0 and n * p[1] > p[0]
-
-
-def det(m) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def is_unimodular(m) -> bool:
-    return det(m) in (1, -1)
-
-
-def apply_matrix(m, p):
-    return (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
-
-
-def apply_unimodular(m, p):
-    if not is_unimodular(m):
-        raise ValueError(f"matrix {m} has determinant {det(m)}, not +-1")
-    return apply_matrix(m, p)
 
 
 def is_primitive(v) -> bool:

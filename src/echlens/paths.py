@@ -153,7 +153,8 @@ def _completion_bound(n: int, x2, y2, dx, dy) -> int:
 
 
 def _enumerate_all(n: int, kmax: int):
-    """All concave paths with L_n <= kmax, bucketed by L_n into tuples.
+    """All concave paths with L_n <= kmax, bucketed by L_n into tuples in
+    depth-first order.
 
     A path from M*(n,1) encloses the M ray points below its start, so
     M <= L_n.  Each new vertex lies strictly above the line of the previous
@@ -187,15 +188,13 @@ def _enumerate_all(n: int, kmax: int):
 
     for m in range(1, kmax + 1):
         extend((m * n, m), m * n, m, (), 0, -n, -1)
-    return {
-        k: tuple(sorted(bucket, key=lambda p: (p.start, p.edges)))
-        for k, bucket in buckets.items()
-    }
+    return {k: tuple(bucket) for k, bucket in buckets.items()}
 
 
 def enumerate_paths_up_to(n: int, kmax: int):
-    """Buckets {k: paths with L_n = k} for all k <= kmax, in a deterministic
-    order, read from one cached enumeration per n."""
+    """Buckets {k: paths with L_n = k} for all k <= kmax, in the enumeration's
+    depth-first order (the same for every kmax), read from one cached
+    enumeration per n."""
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     cached = _ENUM_CACHE.get(n)

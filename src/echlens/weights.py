@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import geometry as geo
 from .domains import ConcaveDomain, domain_area, singular_ball_capacity, validate_domain
 from .errors import DomainError
 from .record import Record
@@ -28,10 +27,15 @@ def split_domain(domain: ConcaveDomain):
     """Peel the largest inscribed singular-ball triangle.
 
     Returns (a, left_piece, right_piece); a piece is None when empty.  Both
-    pieces are domains in V_1.  The left piece is the chain from the last
-    lowest vertex on, dropped by a and sheared by SHEAR_DOWN; the right piece
-    is the chain up to the first lowest vertex, with the triangle corner
-    a*(n,1) translated to the origin and cone_change_matrix(n+1) applied.
+    pieces are domains in V_1, each carried there by a unimodular map:
+
+    - left: the chain from the last lowest vertex on, by
+      (x, y) -> (x, x + y - a), which takes the quadrant x >= 0, y >= a
+      onto V_1;
+    - right: the chain up to the first lowest vertex, by
+      (x, y) -> (y - a, (n+1)(y - a) - (x - n a)), which takes the cone at
+      the triangle corner a*(n,1) spanned by (n,1) and (-1,0) onto V_1.
+
     A piece that fails validation is a broken invariant (AssertionError),
     not bad input.
     """
@@ -44,15 +48,12 @@ def split_domain(domain: ConcaveDomain):
 
     left = None
     if last < len(verts) - 1:
-        left = _piece(
-            [geo.apply_unimodular(geo.SHEAR_DOWN, (x, y - a)) for x, y in verts[last:]]
-        )
+        left = _piece([(x, x + y - a) for x, y in verts[last:]])
 
     right = None
     if first > 0:
-        m = geo.cone_change_matrix(n + 1)
         right = _piece(
-            [geo.apply_unimodular(m, (x - n * a, y - a)) for x, y in verts[: first + 1]]
+            [(y - a, (n + 1) * (y - a) - (x - n * a)) for x, y in verts[: first + 1]]
         )
 
     return a, left, right

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import echlens as e
 from echlens import cli
-from helpers import brute_combination_sequence, packing_closed_form
+from helpers import brute_combination_sequence, brute_path_length, packing_closed_form
 
 FIB = Fraction(233, 144)
 
@@ -118,7 +118,7 @@ def test_a6_property_suites():
         for n, p, i in pairs:
             q = e.coround_corner(p, i)
             coround_total += 1
-            if e.omega_length_path(doms[n], q) >= e.omega_length_path(
+            if brute_path_length(doms[n], q) >= brute_path_length(
                 doms[n], p
             ) and e.lattice_count(q) >= e.lattice_count(p):
                 coround += 1

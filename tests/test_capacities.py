@@ -10,6 +10,7 @@ from echlens.errors import (
     DeltaTooLarge,
     HomologyNotZero,
     InsufficientLength,
+    MismatchedN,
     NonPositivePeriod,
     ResourceLimit,
 )
@@ -19,6 +20,7 @@ from helpers import (
     brute_combination_sequence,
     brute_floor_sum,
     brute_orbit_index,
+    brute_path_length,
     naive_union,
     packing_closed_form,
     pick_lattice_count,
@@ -253,8 +255,8 @@ class TestOracleRoute:
             )
 
     def test_pricing_matches_per_path_length(self):
-        # directions are priced once, as ints; the per-path Fraction
-        # functional is the reference
+        # directions are priced once, as ints; the per-step Fraction
+        # length, less delta times the start height, is the reference
         rng = random.Random(31)
         scales = set()
         for n in (1, 2, 3, 4):
@@ -266,7 +268,9 @@ class TestOracleRoute:
                     seq = e.capacities_via_oracle(dom, 10, delta=delta)
                     scales.add(seq.scale)
                     for k, bucket in buckets.items():
-                        assert seq[k] == max(e.omega_length_blowup(dom, p, delta) for p in bucket)
+                        assert seq[k] == max(
+                            brute_path_length(dom, p) - delta * p.start[0] for p in bucket
+                        )
         assert len(scales) > 3
 
     def test_budget(self):
@@ -401,6 +405,15 @@ class TestOrbitSetIndex:
         orbit = e.OrbitSetDescriptor(m_plus=1, m_minus=0, generator=gen)
         with pytest.raises(HomologyNotZero):
             e.orbit_set_index(B21, orbit)
+
+    def test_generator_from_another_orbifold(self):
+        # an n = 4 generator on the n = 2 domain: its run 4 passes the
+        # homology test, and it used to be priced (as 16) on the wrong cone
+        path = e.make_path(4, (4, 1), (((-4, 1), 1),))
+        gen = e.ConcaveGenerator(path=path, labels=("e",))
+        orbit = e.OrbitSetDescriptor(m_plus=0, m_minus=0, generator=gen)
+        with pytest.raises(MismatchedN):
+            e.orbit_set_index(EXAMPLE, orbit)
 
     def test_exceptional_powers_against_pick_and_term_by_term_sums(self):
         # empty generator: the auxiliary chain runs along y = M from the ray

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from echlens import capacities, checks, cli, geometry, weights
+from echlens.domains import parse_domain_file
 from helpers import ball_closed_form
 
 
@@ -187,7 +189,11 @@ class TestWeights:
         assert "does not match domain area" in err
 
     def test_bad_peeled_piece_is_internal_error(self, capsys, monkeypatch, domain_file):
-        monkeypatch.setattr(geometry, "cone_change_matrix", lambda n: ((1, 0), (0, 1)))
+        # a peel map that mirrors its piece carries it out of V_1
+        real = weights.validate_domain
+        monkeypatch.setattr(
+            weights, "validate_domain", lambda n, verts: real(n, [(y, x) for x, y in verts])
+        )
         code, out, err = run(capsys, ["weights", domain_file])
         assert code == 4
         assert out == ""
@@ -201,23 +207,40 @@ class TestCheck:
         assert "seed 7" in out
         assert "PASS" in out
 
-    def test_file(self, capsys, ball_file):
-        code, out, _ = run(capsys, ["check", "--trials", "1", "--kmax", "5", "--file", ball_file])
+    def test_file(self, capsys, monkeypatch, tmp_path):
+        # a FAIL ends with the failing domain as a domain file, which
+        # `domain F --method both` replays
+        monkeypatch.setattr(checks, "capacities_via_oracle", _perturbed_oracle)
+        code, out, _ = run(capsys, ["check", "--trials", "1", "--kmax", "5"])
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0] == f"seed {checks.DEFAULT_SEED}"
+        assert lines[1].startswith("FAIL trial=1 k=1 ")
+        replay = tmp_path / "fail.dom"
+        replay.write_text("\n".join(lines[2:]) + "\n")
+        drawn = checks.random_concave_domain(random.Random(checks.DEFAULT_SEED))
+        assert parse_domain_file(replay.read_text()) == drawn
+        code, out, _ = run(capsys, ["domain", str(replay), "--kmax", "5", "--method", "both"])
         assert code == 0
-        assert out.splitlines()[0] == f"seed {checks.DEFAULT_SEED}"
-        assert "PASS" in out
+        assert out.endswith("DIFF: none\n")
 
-    def test_corrupt_hook_fails(self, capsys, monkeypatch, ball_file):
-        def perturbed(domain, kmax):
-            values = list(capacities.capacities_via_oracle(domain, kmax).values)
-            values[1] += 1
-            return values
-
-        monkeypatch.setattr(checks, "capacities_via_oracle", perturbed)
-        code, out, _ = run(capsys, ["check", "--trials", "1", "--kmax", "5", "--file", ball_file])
+    def test_corrupt_hook_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "capacities_via_oracle", _perturbed_oracle)
+        code, out, _ = run(capsys, ["check", "--trials", "3", "--kmax", "5", "--seed", "7"])
         assert code == 4
         assert "FAIL" in out
         assert "k=1" in out
+
+    def test_file_option_is_gone(self, capsys, ball_file):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check", "--file", ball_file])
+        assert exc.value.code == 2
+
+
+def _perturbed_oracle(domain, kmax):
+    values = list(capacities.capacities_via_oracle(domain, kmax).values)
+    values[1] += 1
+    return values
 
 
 class TestBlowup:

@@ -7,10 +7,8 @@ import echlens as e
 from echlens.errors import (
     ComplementNotConvex,
     DegenerateEdge,
-    DeltaTooLarge,
     EmptyBoundary,
     EndpointNotOnRay,
-    MismatchedN,
     NonPositiveScale,
     NotGraphOfFunction,
     ParseError,
@@ -107,40 +105,9 @@ class TestEdgeLength:
             ) <= e.omega_length_edge(dom, total)
 
 
-class TestPathLength:
-    def test_single_edge(self):
-        p = e.make_path(2, (2, 1), (((-2, 1), 1),))
-        assert e.omega_length_path(B21, p) == e.omega_length_edge(B21, (-2, 1))
-
-    def test_multiplicity(self):
-        p = e.make_path(2, (2, 1), (((-1, 0), 2),))
-        assert e.omega_length_path(B21, p) == 2
-
-    def test_empty(self):
-        assert e.omega_length_path(B21, e.empty_path(2)) == 0
-
-    def test_mismatched_n(self):
-        with pytest.raises(MismatchedN):
-            e.omega_length_path(B21, e.make_path(3, (3, 1), (((-3, 1), 1),)))
-
-
 class TestBlowup:
-    def test_delta_zero(self):
-        p = e.make_path(2, (2, 1), (((-1, 0), 2),))
-        assert e.omega_length_blowup(B21, p, 0) == e.omega_length_path(B21, p)
-
-    def test_positive_delta(self):
-        p = e.make_path(2, (2, 1), (((-1, 0), 2),))
-        assert e.omega_length_blowup(B21, p, Fraction(1, 4)) == Fraction(3, 2)
-
     def test_max_delta(self):
         assert e.singular_ball_capacity(EXAMPLE) == 2
-
-    def test_delta_too_large(self):
-        with pytest.raises(DeltaTooLarge):
-            e.omega_length_blowup(B21, e.empty_path(2), 1)
-        with pytest.raises(DeltaTooLarge):
-            e.omega_length_blowup(B21, e.empty_path(2), Fraction(-1, 2))
 
 
 class TestScale:

@@ -74,34 +74,6 @@ class TestCone:
             assert geo.in_cone((x, y), n)
 
 
-class TestMatrices:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_cone_change_unimodular(self, n):
-        m = geo.cone_change_matrix(n)
-        assert geo.det(m) == 1
-        # corner direction (n,1) goes to the y-axis direction
-        assert geo.apply_unimodular(m, (n, 1)) == (1, 0)
-        assert geo.apply_unimodular(m, (0, 1)) == (1, n)
-
-    def test_shears(self):
-        assert geo.det(geo.SHEAR_DOWN) == 1
-        assert geo.det(((1, 1), (0, 1))) == 1
-        assert geo.apply_unimodular(geo.SHEAR_DOWN, (1, 0)) == (1, 1)
-        assert geo.apply_unimodular(((1, 1), (0, 1)), (0, 1)) == (1, 1)
-
-    def test_apply_unimodular_rejects(self):
-        with pytest.raises(ValueError):
-            geo.apply_unimodular(((2, 0), (0, 1)), (1, 1))
-
-    @given(small_ints, small_ints, small_ints, small_ints, small_ints, small_ints)
-    def test_unimodular_preserves_cross(self, a, b, c, d, e, f):
-        for m in (geo.SHEAR_DOWN, ((1, 1), (0, 1)), geo.cone_change_matrix(3)):
-            u, v = (a, b), (c, d)
-            assert geo.cross(
-                geo.apply_matrix(m, u), geo.apply_matrix(m, v)
-            ) == geo.det(m) * geo.cross(u, v)
-
-
 class TestPrimitive:
     def test_examples(self):
         assert geo.is_primitive((-1, 0))

@@ -22,12 +22,11 @@ EXPORTS = [
     "contains_point", "coround_corner", "cross", "domain_area", "ellipsoid_orbit_index",
     "ellipsoid_sequence", "empty_path", "enumerate_paths_up_to", "format_rational",
     "generator_index", "homology_class", "in_cone", "index_bijectivity_check",
-    "lattice_count", "make_path", "obstruction_report", "omega_length_blowup",
-    "omega_length_edge", "omega_length_path", "orbit_set_index", "parse_domain_file",
-    "parse_path_text", "parse_rational", "path_from_vertices", "path_to_text",
-    "random_concave_domain", "rotation_numbers", "run_check", "scale_domain",
-    "singular_ball_capacity", "singular_weight_expansion", "spectrum_from_orbit_indices",
-    "split_domain", "union_sequence", "validate_domain",
+    "lattice_count", "make_path", "obstruction_report", "omega_length_edge",
+    "orbit_set_index", "parse_domain_file", "parse_path_text", "parse_rational",
+    "path_from_vertices", "path_to_text", "random_concave_domain", "rotation_numbers",
+    "run_check", "scale_domain", "singular_ball_capacity", "singular_weight_expansion",
+    "spectrum_from_orbit_indices", "split_domain", "union_sequence", "validate_domain",
 ]
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

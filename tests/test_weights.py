@@ -59,6 +59,29 @@ class TestSplitDomain:
         assert left is None
         assert right == standard([(1, 0), (0, 1)])
 
+    def test_peel_maps_keep_area_and_land_on_the_rays(self):
+        # at every split of every expansion, the triangle and the two mapped
+        # pieces make up the area, and each piece runs from V_1's (1,1)-ray
+        # to its y-axis
+        rng = random.Random(29)
+        splits = 0
+        for n in (1, 2, 3, 4):
+            for _ in range(25):
+                work = [e.random_concave_domain(rng, n=n)]
+                while work:
+                    dom = work.pop()
+                    a, *pieces = e.split_domain(dom)
+                    pieces = [p for p in pieces if p is not None]
+                    assert e.domain_area(dom) == dom.n * a * a / 2 + sum(
+                        (e.domain_area(p) for p in pieces), Fraction(0)
+                    )
+                    for p in pieces:
+                        (x0, y0), (x1, y1) = p.vertices[0], p.vertices[-1]
+                        assert p.n == 1 and x0 == y0 > 0 and x1 == 0 < y1
+                    work.extend(pieces)
+                    splits += 1
+        assert splits > 200
+
 
 class TestSplitStandard:
     def test_ball(self):
