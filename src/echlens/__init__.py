@@ -27,7 +27,6 @@ _EXPORTS = {
         "ConcaveDomain",
         "RotationNumbers",
         "boundary_height",
-        "contains_point",
         "domain_area",
         "omega_length_edge",
         "parse_domain_file",

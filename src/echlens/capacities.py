@@ -24,7 +24,7 @@ from .errors import (
     PathError,
     ResourceLimit,
 )
-from .geometry import in_cone
+from .geometry import floor_sum, in_cone
 from .record import Record, _set
 
 # domains, paths and weights are imported in the routes that use them (here
@@ -243,7 +243,8 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
         raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
     k = (r + s) // n
     phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
-    floors = sum(_rotation_floors(phi_plus, r)) + sum(_rotation_floors(phi_minus, s))
+    floors = floor_sum(r + 1, phi_plus.denominator, phi_plus.numerator, 0)
+    floors += floor_sum(s + 1, phi_minus.denominator, phi_minus.numerator, 0)
     return n * k * (k + 1) + 2 * k + 2 * floors
 
 
@@ -296,8 +297,8 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     big_l = _count_columns(n, chain) if len(chain) > 1 else 0
     rot = rotation_numbers(domain)
     total = 2 * big_l + 2 * m_plus + 2 * m_minus + gen.h_count()
-    total += 2 * sum(_rotation_floors(rot.phi_plus, m_plus))
-    total += 2 * sum(_rotation_floors(rot.phi_minus, m_minus))
+    for phi, m in ((rot.phi_plus, m_plus), (rot.phi_minus, m_minus)):
+        total += 2 * floor_sum(m + 1, phi.denominator, phi.numerator, 0)
     return total
 
 

@@ -31,16 +31,6 @@ class ConcaveDomain(Record):
     # vertices: ((x, y), ...) exact rationals, ray endpoint first
     __slots__ = ("n", "vertices")
 
-    @property
-    def a0(self) -> Fraction:
-        """Parameter of the first vertex a0*(n,1)."""
-        return Fraction(self.vertices[0][1])
-
-    @property
-    def a1(self) -> Fraction:
-        """Height of the y-axis endpoint."""
-        return Fraction(self.vertices[-1][1])
-
     def edge_vectors(self):
         v = self.vertices
         return [geo.vec_sub(v[i + 1], v[i]) for i in range(len(v) - 1)]
@@ -138,14 +128,6 @@ def boundary_height(domain: ConcaveDomain, x) -> Fraction:
             t = (x - v[0]) / (u[0] - v[0])
             return v[1] + t * (u[1] - v[1])
     raise AssertionError("unreachable: x inside span but no edge found")
-
-
-def contains_point(domain: ConcaveDomain, p) -> bool:
-    if not geo.in_cone(p, domain.n):
-        return False
-    if p[0] > domain.vertices[0][0]:
-        return False
-    return p[1] <= boundary_height(domain, p[0])
 
 
 def domain_area(domain: ConcaveDomain) -> Fraction:

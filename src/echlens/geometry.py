@@ -14,13 +14,13 @@ from .errors import ParseError
 
 # Points and lattice vectors are plain (x, y) pairs.
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the `p` / `p/q` rational syntax (no whitespace, q > 0)."""
     if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal with q > 0: {text!r}")
     return Fraction(text)
 
 
@@ -40,6 +40,24 @@ def format_point(p) -> str:
 def cross(u, v):
     """u.x * v.y - u.y * v.x; the single orientation convention of the library."""
     return u[0] * v[1] - u[1] * v[0]
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over 0 <= i < n, for m > 0 and ints a, b of any
+    sign, in O(log m) steps (the floor_sum recursion of the AtCoder Library).
+    The library's lattice counts and single rotation-floor sums are all one."""
+    total = 0
+    while True:
+        total += a // m * (n * (n - 1) // 2) + b // m * n
+        a %= m
+        b %= m
+        # now 0 <= a, b < m: counted by rows, the lattice points under the
+        # line y = (a*x + b)/m are the same sum with m and a swapped
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = y_max // m, y_max % m
+        m, a = a, m
 
 
 def in_cone(p, n: int) -> bool:

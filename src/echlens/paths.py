@@ -41,10 +41,6 @@ class IntegralPath(Record):
             out.append(cur)
         return out
 
-    @property
-    def end(self):
-        return self.vertices()[-1]
-
     def is_empty(self) -> bool:
         return not self.edges
 
@@ -106,7 +102,7 @@ def _edge_count(n: int, x1, y1, x2, y2) -> int:
     the lattice points of the cone strictly below the edge, ceil(h(c)) -
     ceil(c/n) in column c, where h is the edge's height."""
     dy, w = y2 - y1, x1 - x2
-    return sum(y1 - ((c - x1) * dy) // w + (-c) // n for c in range(x2, x1))
+    return w * y2 - geo.floor_sum(w, w, dy, 0) + geo.floor_sum(w, n, -1, -x2)
 
 
 def _count_columns(n: int, verts) -> int:
@@ -148,8 +144,9 @@ _ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
 
 def _completion_bound(n: int, x2, y2, dx, dy) -> int:
     """Cone points in columns 0 <= c < x2 on or below the line of the edge
-    (dx, dy) that ends at (x2, y2)."""
-    return sum(max(0, y2 + (dy * (c - x2)) // dx + 1 + (-c) // n) for c in range(x2))
+    (dx, dy), dx < 0, that ends at (x2, y2); no column count is negative, as
+    enumerated edges have n*dy - dx > 0 and end in the cone."""
+    return x2 * (y2 + 1) + geo.floor_sum(x2, -dx, -dy, dy * x2) + geo.floor_sum(x2, n, -1, 0)
 
 
 def _enumerate_all(n: int, kmax: int):

@@ -19,9 +19,6 @@ from .record import Record
 class WeightExpansion(Record):
     __slots__ = ("singular_weight", "plain_weights")  # plain_weights sorted non-increasing
 
-    def as_multiset(self):
-        return [self.singular_weight, *self.plain_weights]
-
 
 def split_domain(domain: ConcaveDomain):
     """Peel the largest inscribed singular-ball triangle.

@@ -4,6 +4,9 @@ from fractions import Fraction
 from itertools import accumulate
 from math import floor, gcd
 
+from echlens.domains import boundary_height
+from echlens.geometry import in_cone
+
 
 def brute_combination_sequence(n, a, b, kmax):
     """Sorted-with-repetition values a*k1 + b*k2 with k1 + k2 divisible by n,
@@ -63,6 +66,29 @@ def pick_lattice_count(path_or_n, chain=None):
     return interior + boundary - on_path
 
 
+def brute_edge_count(n, x1, y1, x2, y2):
+    """Cone points strictly below the edge (x1,y1)->(x2,y2) in the columns
+    x2 <= c < x1, summed column by column."""
+    dy, w = y2 - y1, x1 - x2
+    return sum(y1 - ((c - x1) * dy) // w + (-c) // n for c in range(x2, x1))
+
+
+def brute_completion_bound(n, x2, y2, dx, dy):
+    """Cone points in the columns 0 <= c < x2 on or below the line of the
+    edge (dx, dy) ending at (x2, y2), summed column by column, each column
+    clamped at 0."""
+    return sum(max(0, y2 + (dy * (c - x2)) // dx + 1 + (-c) // n) for c in range(x2))
+
+
+def contains_point(domain, p):
+    """Membership of the point p in the closed domain."""
+    if not in_cone(p, domain.n):
+        return False
+    if p[0] > domain.vertices[0][0]:
+        return False
+    return p[1] <= boundary_height(domain, p[0])
+
+
 def brute_path_length(domain, path):
     """Omega-length recomputed per unit step instead of per direction."""
     total = Fraction(0)
@@ -117,6 +143,16 @@ def packing_closed_form(n, a0, plain_weights, kmax):
 def brute_floor_sum(phi, m):
     """sum of floor(i*phi) over 1 <= i <= m, one Fraction at a time."""
     return sum(floor(i * phi) for i in range(1, m + 1))
+
+
+def floor_sum_by_periods(phi, m):
+    """sum of floor(i*phi) over 0 <= i <= m: the reciprocity closed form
+    over the full periods of phi's denominator q, then the tail term by
+    term (at most q - 1 Fraction floors)."""
+    p, q = phi.numerator, phi.denominator
+    periods = (m + 1) // q
+    total = periods * (p - 1) * (q - 1) // 2 + p * q * periods * (periods - 1) // 2
+    return total + sum(floor(i * phi) for i in range(periods * q, m + 1))
 
 
 def brute_orbit_index(n, a, b, r, s):

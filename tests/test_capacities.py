@@ -21,6 +21,7 @@ from helpers import (
     brute_floor_sum,
     brute_orbit_index,
     brute_path_length,
+    floor_sum_by_periods,
     naive_union,
     packing_closed_form,
     pick_lattice_count,
@@ -187,7 +188,8 @@ class TestWeightsRoute:
         expansion = e.singular_weight_expansion(dom)
         assert len(expansion.plain_weights) > 20
         # n = 1: the singular ball is a classical ball
-        seqs = [ball_closed_form(w, 20) for w in expansion.as_multiset()]
+        weights = [expansion.singular_weight, *expansion.plain_weights]
+        seqs = [ball_closed_form(w, 20) for w in weights]
         assert e.capacities_via_weights(dom, 20).values == naive_union(seqs, 20)
 
     def test_conformality(self):
@@ -376,6 +378,14 @@ class TestEllipsoidOrbitIndex:
             s += (-(r + s)) % n
             assert e.ellipsoid_orbit_index(n, a, b, r, s) == brute_orbit_index(n, a, b, r, s)
 
+    def test_huge_multiplicity(self):
+        # phi_plus = -89/466: 2 145 922 746 full periods and a tail of 365 floors
+        r = 10**12
+        k = r // 2
+        expected = 2 * k * (k + 1) + 2 * k + 2 * floor_sum_by_periods(Fraction(-89, 466), r)
+        assert expected == 309012875537291845493562
+        assert e.ellipsoid_orbit_index(2, 1, FIB, r, 0) == expected
+
 
 class TestOrbitSetIndex:
     def test_reduces_to_generator_index(self):
@@ -437,6 +447,26 @@ class TestOrbitSetIndex:
             expected += 2 * brute_floor_sum(rot.phi_plus, m_plus)
             expected += 2 * brute_floor_sum(rot.phi_minus, m_minus)
             orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty[n])
+            assert e.orbit_set_index(dom, orbit) == expected
+
+    def test_exceptional_powers_near_a_billion(self):
+        # rotation numbers 2/9 and 2; the empty generator's auxiliary chain
+        # turns at (M*n - m_plus, M) = (m_minus, M)
+        dom = e.validate_domain(2, [(6, 3), (1, 5), (0, 7)])
+        rot = e.rotation_numbers(dom)
+        assert (rot.phi_plus, rot.phi_minus) == (Fraction(2, 9), 2)
+        empty = e.ConcaveGenerator(path=e.empty_path(2), labels=())
+        for m_plus, m_minus in [(10**9, 0), (999_999_937, 63)]:
+            big_m = (m_plus + m_minus) // 2
+            chain = [(2 * big_m, big_m)]
+            if m_minus:
+                chain.append((m_minus, big_m))
+            chain.append((0, big_m))
+            expected = 2 * pick_lattice_count(2, chain)
+            expected += 2 * m_plus + 2 * m_minus
+            expected += 2 * floor_sum_by_periods(rot.phi_plus, m_plus)
+            expected += 2 * floor_sum_by_periods(rot.phi_minus, m_minus)
+            orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty)
             assert e.orbit_set_index(dom, orbit) == expected
 
 

@@ -126,6 +126,14 @@ class TestBall:
             f"{k}  {geometry.format_rational(v)}\n" for k, v in enumerate(closed)
         )
 
+    @pytest.mark.parametrize("text", ["1/0", "3/00"])
+    def test_rejects_zero_denominator(self, capsys, text):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["ball", "--a", text])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --a: not a rational literal with q > 0: '{text}'" in err
+
 
 class TestDomain:
     def test_both_routes_agree(self, capsys, domain_file):
@@ -146,6 +154,14 @@ class TestDomain:
         code, _, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("text", ["1/0", "3/00"])
+    def test_zero_denominator_exit_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.dom"
+        bad.write_text(f"n = 2\nvertices = ({text},1) (0,1)\n")
+        code, _, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
+        assert code == 2
+        assert err == f"error: line 2, column 12: bad rational '{text}'\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["domain", "/nonexistent.dom"])

@@ -16,6 +16,7 @@ from echlens.errors import (
     WrongOrientation,
     ZeroEdge,
 )
+from helpers import contains_point
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 EXAMPLE = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
@@ -23,17 +24,17 @@ EXAMPLE = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
 
 class TestValidation:
     def test_triangle(self):
-        assert B21.a0 == 1
-        assert B21.a1 == 1
+        assert B21.vertices[0][1] == 1
+        assert B21.vertices[-1][1] == 1
 
     def test_three_vertices(self):
-        assert EXAMPLE.a0 == 3
-        assert EXAMPLE.a1 == 2
+        assert EXAMPLE.vertices[0][1] == 3
+        assert EXAMPLE.vertices[-1][1] == 2
         assert EXAMPLE.edge_vectors() == [(-3, -1), (-3, 0)]
 
     def test_fractional_coordinates(self):
         dom = e.validate_domain(3, [(Fraction(9, 2), Fraction(3, 2)), (0, 2)])
-        assert dom.a0 == Fraction(3, 2)
+        assert dom.vertices[0][1] == Fraction(3, 2)
 
     def test_too_few_vertices(self):
         with pytest.raises(EmptyBoundary):
@@ -150,10 +151,10 @@ class TestGeometryQueries:
             e.boundary_height(EXAMPLE, 7)
 
     def test_contains_point(self):
-        assert e.contains_point(EXAMPLE, (3, 2))
-        assert e.contains_point(EXAMPLE, (1, 1))
-        assert not e.contains_point(EXAMPLE, (3, 3))
-        assert not e.contains_point(EXAMPLE, (5, 1))  # below the ray
+        assert contains_point(EXAMPLE, (3, 2))
+        assert contains_point(EXAMPLE, (1, 1))
+        assert not contains_point(EXAMPLE, (3, 3))
+        assert not contains_point(EXAMPLE, (5, 1))  # below the ray
 
     def test_area(self):
         assert e.domain_area(B21) == 1
@@ -168,7 +169,7 @@ class TestParseDomainFile:
 
     def test_rational_coordinates(self):
         dom = e.parse_domain_file("n = 2\nvertices = (3,3/2) (0,2)\n")
-        assert dom.a0 == Fraction(3, 2)
+        assert dom.vertices[0][1] == Fraction(3, 2)
 
     def test_missing_n(self):
         with pytest.raises(ParseError):

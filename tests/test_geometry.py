@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ class TestRationalText:
             geo.parse_rational(text)
 
     def test_parse_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            geo.parse_rational("1/0")
+        for text in ("1/0", "3/00", "-2/0"):
+            with pytest.raises(ValueError, match="q > 0"):
+                geo.parse_rational(text)
+        assert geo.parse_rational("3/007") == Fraction(3, 7)
 
     @given(rationals)
     def test_roundtrip(self, value):
@@ -38,6 +41,26 @@ class TestRationalText:
         assert geo.format_rational(Fraction(6, 4)) == "3/2"
         assert geo.format_rational(Fraction(8, 4)) == "2"
         assert geo.format_rational(Fraction(-1, 3)) == "-1/3"
+
+
+class TestFloorSum:
+    def test_against_direct_sum(self):
+        rng = random.Random(131)
+        for _ in range(3000):
+            n, m = rng.randint(0, 40), rng.randint(1, 30)
+            a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+            assert geo.floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    @pytest.mark.parametrize(
+        "p,q,periods",
+        [(1, 1, 5), (3, 7, 1), (-89, 466, 10**9), (233, 144, 12345), (-5, 10**6 - 1, 10**9),
+         (999_983, 10**6, 7), (-1, 10**6, 10**9)],
+    )
+    def test_reciprocity(self, p, q, periods):
+        # gcd(p, q) = 1: a full period sums to (p-1)(q-1)/2, and each period
+        # adds p per term to the one before
+        expected = periods * (p - 1) * (q - 1) // 2 + p * q * periods * (periods - 1) // 2
+        assert geo.floor_sum(periods * q, q, p, 0) == expected
 
 
 class TestCross:

@@ -19,7 +19,7 @@ EXPORTS = [
     "CapacitySequence", "CheckResult", "ConcaveDomain", "ConcaveGenerator", "EchLensError",
     "IntegralPath", "ObstructionReport", "OrbitSetDescriptor", "RotationNumbers",
     "WeightExpansion", "boundary_height", "capacities_via_oracle", "capacities_via_weights",
-    "contains_point", "coround_corner", "cross", "domain_area", "ellipsoid_orbit_index",
+    "coround_corner", "cross", "domain_area", "ellipsoid_orbit_index",
     "ellipsoid_sequence", "empty_path", "enumerate_paths_up_to", "format_rational",
     "generator_index", "homology_class", "in_cone", "index_bijectivity_check",
     "lattice_count", "make_path", "obstruction_report", "omega_length_edge",

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 import echlens as e
 from echlens import paths
 from echlens.errors import InvalidVertex, PathError
-from helpers import brute_path_length, pick_lattice_count
+from helpers import (
+    brute_completion_bound,
+    brute_edge_count,
+    brute_path_length,
+    pick_lattice_count,
+)
 
 
 class TestConstruction:
@@ -20,7 +25,6 @@ class TestConstruction:
     def test_vertices(self):
         p = e.make_path(2, (4, 2), (((-1, 0), 1), ((-3, 1), 1)))
         assert p.vertices() == [(4, 2), (3, 2), (0, 3)]
-        assert p.end == (0, 3)
 
     @pytest.mark.parametrize(
         "start,edges",
@@ -41,7 +45,7 @@ class TestConstruction:
             e.make_path(2, start, edges)
 
     def test_is_concave_path(self):
-        assert e.make_path(2, (2, 1), (((-2, 1), 1),)).end == (0, 2)
+        assert e.make_path(2, (2, 1), (((-2, 1), 1),)).vertices()[-1] == (0, 2)
         with pytest.raises(PathError):
             e.make_path(2, (4, 2), ())
 
@@ -89,6 +93,32 @@ class TestLatticeCount:
                 x = rng.randint(0, x - 1)
                 chain.append((x, x // n + 1 + rng.randint(0, 6)))
             assert paths._count_columns(n, chain) == pick_lattice_count(n, chain)
+
+
+class TestCountKernels:
+    def test_against_column_sums_at_every_enumeration_call(self, monkeypatch):
+        kernels = {
+            paths._edge_count: brute_edge_count,
+            paths._completion_bound: brute_completion_bound,
+        }
+        calls = {kernel: [] for kernel in kernels}
+
+        def recording(kernel):
+            def record(*args):
+                calls[kernel].append(args)
+                return kernel(*args)
+
+            return record
+
+        for kernel in kernels:
+            monkeypatch.setattr(paths, kernel.__name__, recording(kernel))
+        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
+        for n in (1, 2, 3, 4):
+            e.enumerate_paths_up_to(n, 16)
+        for kernel, brute in kernels.items():
+            assert len(calls[kernel]) > 1000
+            for args in calls[kernel]:
+                assert kernel(*args) == brute(*args), args
 
 
 class TestHomology:
