@@ -233,30 +233,22 @@ def obstruction_report(
 
 
 def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
-    """Index of the orbit set with the two exceptional orbits at powers r, s."""
+    """Index of the orbit set e+^r e-^s of E_n(a, b): orbit_set_index on the
+    ellipsoid's triangle (n*a, a) (0, b) with the empty generator."""
+    from .domains import validate_domain
+    from .paths import ConcaveGenerator, empty_path
+
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
+    # orbit_set_index's guards, with messages in the caller's r and s
     if r < 0 or s < 0:
         raise ValueError("multiplicities must be non-negative")
     if (r + s) % n != 0:
         raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
-    k = (r + s) // n
-    phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
-    floors = floor_sum(r + 1, phi_plus.denominator, phi_plus.numerator, 0)
-    floors += floor_sum(s + 1, phi_minus.denominator, phi_minus.numerator, 0)
-    return n * k * (k + 1) + 2 * k + 2 * floors
-
-
-def _ellipsoid_rotations(n, a, b):
-    """Rotation numbers (phi_plus, phi_minus) of the two exceptional orbits of E_n(a, b)."""
-    return (a - b) / (n * b), (b - a) / (n * a)
-
-
-def _rotation_floors(phi, m: int):
-    """floor(i*phi) for i = 0..m, as ints from phi's numerator and denominator."""
-    p, q = phi.numerator, phi.denominator
-    return (i * p // q for i in range(m + 1))
+    triangle = validate_domain(n, ((n * a, a), (0, b)))
+    empty = ConcaveGenerator(path=empty_path(n), labels=())
+    return orbit_set_index(triangle, OrbitSetDescriptor(r, s, empty))
 
 
 class OrbitSetDescriptor(Record):
@@ -264,10 +256,12 @@ class OrbitSetDescriptor(Record):
 
 
 def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
-    """Index of an orbit set with exceptional-orbit powers, via the auxiliary
-    path obtained by padding the generator with horizontal unit edges."""
+    """Index of an orbit set with exceptional-orbit powers: the combinatorial
+    index of the auxiliary path (m_plus horizontal unit edges, the
+    generator's edges, m_minus horizontal unit edges), plus 2 per
+    exceptional orbit and twice each rotation floor sum."""
     from .domains import rotation_numbers
-    from .paths import _count_columns
+    from .paths import ConcaveGenerator, IntegralPath, generator_index
 
     n = domain.n
     gen = orbit.generator
@@ -280,23 +274,13 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     if run % n != 0:
         raise HomologyNotZero(f"total horizontal run {run} is not a multiple of n = {n}")
     big_m = run // n
-    # auxiliary chain: m_plus horizontal steps, the generator, m_minus steps
-    chain = [(big_m * n, big_m)]
-    segments = []
-    if m_plus:
-        segments.append(((-1, 0), m_plus))
-    segments.extend(gen.path.edges)
-    if m_minus:
-        segments.append(((-1, 0), m_minus))
-    for d, m in segments:
-        x, y = chain[-1]
-        chain.append((x + m * d[0], y + m * d[1]))
-    for v in chain:
+    edges = (((-1, 0), m_plus), *gen.path.edges, ((-1, 0), m_minus))
+    aux = IntegralPath(n, (big_m * n, big_m), tuple(e for e in edges if e[1]))
+    for v in aux.vertices():
         if not in_cone(v, n):
             raise PathError(f"auxiliary path vertex {v} leaves the cone")
-    big_l = _count_columns(n, chain) if len(chain) > 1 else 0
     rot = rotation_numbers(domain)
-    total = 2 * big_l + 2 * m_plus + 2 * m_minus + gen.h_count()
+    total = generator_index(ConcaveGenerator(aux, gen.labels)) + 2 * m_plus + 2 * m_minus
     for phi, m in ((rot.phi_plus, m_plus), (rot.phi_minus, m_minus)):
         total += 2 * floor_sum(m + 1, phi.denominator, phi.numerator, 0)
     return total
@@ -304,6 +288,17 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
 
 # ---------------------------------------------------------------------------
 # Index bijectivity for near-irrational ellipsoids
+
+
+def _orbit_set_count(n: int, layers: int) -> int:
+    """Orbit sets in the layers r + s = k*n for k <= layers: the sum of k*n + 1."""
+    return (layers + 1) * (n * layers + 2) // 2
+
+
+def _rotation_floors(phi, m: int):
+    """floor(i*phi) for i = 0..m, as ints from phi's numerator and denominator."""
+    p, q = phi.numerator, phi.denominator
+    return (i * p // q for i in range(m + 1))
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
@@ -327,7 +322,7 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
         raise ValueError("layer count must be non-negative")
     if a <= 0 or b <= 0:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
-    target_count = sum(k * n + 1 for k in range(kmax_layers + 1))
+    target_count = _orbit_set_count(n, kmax_layers)
     bound = 2 * (target_count - 1)
     top = kmax_layers * n
     # In units u = t*d of the common denominator d, with a = ia/d and
@@ -344,12 +339,12 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
             f"the window of {kmax_layers} layers; their multiplicities reach "
             f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
-    phi_plus, phi_minus = _ellipsoid_rotations(n, a, b)
-    # prefix sums: floors_plus[r] is the sum of floor(i*phi_plus) over i <= r
+    # E_n(a, b)'s rotation numbers; floors_plus[r] sums floor(i*phi_plus), i <= r
+    phi_plus, phi_minus = (a - b) / (n * b), (b - a) / (n * a)
     floors_plus = list(accumulate(_rotation_floors(phi_plus, top_r)))
     floors_minus = list(accumulate(_rotation_floors(phi_minus, top_s)))
 
-    # the index of ellipsoid_orbit_index, with both floor sums looked up
+    # the index of orbit_set_index on the triangle, with both floor sums looked up
     entries = []
     for k in range(kmax_layers + 1):
         m = k * n
@@ -389,7 +384,7 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
     """Actions a*r + b*s of the orbit sets with index 0, 2, ..., 2(count-1)."""
     a, b = Fraction(a), Fraction(b)
     layers = 1
-    while sum(k * n + 1 for k in range(layers + 1)) < count:
+    while _orbit_set_count(n, layers) < count:
         layers += 1
     ok, certificate = index_bijectivity_check(n, a, b, layers)
     if not ok:

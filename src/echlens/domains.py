@@ -101,7 +101,8 @@ def scale_domain(domain: ConcaveDomain, r) -> ConcaveDomain:
 
 
 def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
-    """Rotation numbers of the two exceptional orbits, from the end edges."""
+    """Rotation numbers of the exceptional orbits, from the end edges: on the
+    triangle of E_n(a, b), (a - b)/(n*b) and (b - a)/(n*a)."""
     edges = domain.edge_vectors()
     first, last = edges[0], edges[-1]
     denom_plus = geo.cross(first, (domain.n, 1))
@@ -110,7 +111,7 @@ def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
     if last[0] == 0:
         raise DegenerateEdge("last boundary edge is vertical")
     return RotationNumbers(
-        phi_plus=Fraction(-first[1], 1) / denom_plus,
+        phi_plus=Fraction(first[1], 1) / denom_plus,
         phi_minus=Fraction(-last[1], 1) / last[0],
     )
 

@@ -166,6 +166,24 @@ def brute_orbit_index(n, a, b, r, s):
     return total
 
 
+def lattice_index(n, a, b, r, s):
+    """Index of e+^r e-^s on the boundary of E_n(a, b) for an irrational
+    ratio b/a, with no floor sums: twice the number of orbit sets (i, j)
+    other than (r, s) whose action a*i + b*j is at most a*r + b*s, counted
+    over the lattice points i, j >= 0 with n | i + j (Choi,
+    Cristofaro-Gardiner, Frenkel, Hutchings and Ramos, J. Topology 2014).
+    For a rational ratio it holds when no other orbit set ties (r, s)."""
+    a, b = Fraction(a), Fraction(b)
+    action = a * r + b * s
+    count = sum(
+        1
+        for i in range(floor(action / a) + 1)
+        for j in range(floor((action - a * i) / b) + 1)
+        if (i + j) % n == 0
+    )
+    return 2 * (count - 1)
+
+
 def brute_floor_sums(phi, m):
     """[brute_floor_sum(phi, j) for j = 0..m], one Fraction floor per i."""
     return list(accumulate((floor(i * phi) for i in range(1, m + 1)), initial=0))

@@ -22,6 +22,7 @@ from helpers import (
     brute_orbit_index,
     brute_path_length,
     floor_sum_by_periods,
+    lattice_index,
     naive_union,
     packing_closed_form,
     pick_lattice_count,
@@ -402,13 +403,30 @@ class TestOrbitSetIndex:
         assert e.orbit_set_index(B21, orbit) == 0
 
     def test_exceptional_orbits_raise_the_index(self):
-        # boundary ascending away from the ray keeps the rotation correction
-        # small, so the two e+ copies contribute their full 2m+ each
+        # with the empty generator the index of e+^r depends only on the
+        # first edge, and (-1, 1) is the direction of E_2(1, 3)'s edge
         pert = e.validate_domain(2, [(2, 1), (1, 2), (0, 4)])
         gen = e.ConcaveGenerator(path=e.empty_path(2), labels=())
         orbit = e.OrbitSetDescriptor(m_plus=2, m_minus=0, generator=gen)
-        k0 = 1  # layer number (m_plus + m_minus) / n
-        assert e.orbit_set_index(pert, orbit) > 2 * k0
+        assert e.orbit_set_index(pert, orbit) == brute_orbit_index(2, 1, 3, 2, 0) == 2
+
+    def test_ellipsoid_triangle_against_lattice_count(self):
+        # convergent ratios b/a = p/q with p, q > r, s: no two orbit sets
+        # share an action, so the index counts the orbit sets below
+        convergents = [FIB, Fraction(99, 70), Fraction(97, 56), Fraction(355, 113)]
+        rng = random.Random(84)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            a = Fraction(rng.randint(1, 20), rng.randint(1, 20))
+            ratio = rng.choice(convergents)
+            b = a * ratio if rng.random() < 0.5 else a / ratio
+            r = rng.randint(0, 40)
+            s = rng.randint(0, 40)
+            s += (-(r + s)) % n
+            triangle = e.validate_domain(n, [(n * a, a), (0, b)])
+            gen = e.ConcaveGenerator(path=e.empty_path(n), labels=())
+            orbit = e.OrbitSetDescriptor(m_plus=r, m_minus=s, generator=gen)
+            assert e.orbit_set_index(triangle, orbit) == lattice_index(n, a, b, r, s)
 
     def test_homology(self):
         gen = e.ConcaveGenerator(path=e.empty_path(2), labels=())
@@ -450,11 +468,12 @@ class TestOrbitSetIndex:
             assert e.orbit_set_index(dom, orbit) == expected
 
     def test_exceptional_powers_near_a_billion(self):
-        # rotation numbers 2/9 and 2; the empty generator's auxiliary chain
-        # turns at (M*n - m_plus, M) = (m_minus, M)
+        # rotation numbers -2/9 and 2: the first edge (-5, 2) is that of
+        # E_2(1, 9/5)'s triangle, whose (a - b)/(n*b) is -2/9; the empty
+        # generator's auxiliary chain turns at (M*n - m_plus, M) = (m_minus, M)
         dom = e.validate_domain(2, [(6, 3), (1, 5), (0, 7)])
         rot = e.rotation_numbers(dom)
-        assert (rot.phi_plus, rot.phi_minus) == (Fraction(2, 9), 2)
+        assert (rot.phi_plus, rot.phi_minus) == (Fraction(-2, 9), 2)
         empty = e.ConcaveGenerator(path=e.empty_path(2), labels=())
         for m_plus, m_minus in [(10**9, 0), (999_999_937, 63)]:
             big_m = (m_plus + m_minus) // 2
@@ -519,6 +538,21 @@ class TestBijectivity:
                     e.index_bijectivity_check(n, a, b, layers)
             else:
                 assert e.index_bijectivity_check(n, a, b, layers) == (ok, cert)
+
+    def test_certificate_entries_are_orbit_set_indices(self):
+        cases = [
+            (1, 1, FIB, 6),
+            (2, 1, FIB, 5),
+            (3, 2, Fraction(97, 56), 3),
+            (4, Fraction(99, 70), 1, 2),
+            (1, Fraction(1009, 1013), Fraction(70001, 7), 4),
+        ]
+        for n, a, b, layers in cases:
+            triangle = e.validate_domain(n, [(n * a, a), (0, b)])
+            gen = e.ConcaveGenerator(path=e.empty_path(n), labels=())
+            _, cert = e.index_bijectivity_check(n, a, b, layers)
+            for index, (r, s) in cert:
+                assert index == e.orbit_set_index(triangle, e.OrbitSetDescriptor(r, s, gen))
 
     def test_degenerate_ratio_multiplicity(self):
         # phi+ = -2/7 and phi- = 2/5: 5*phi- is the first integer argument

@@ -315,6 +315,14 @@ class TestIndex:
         assert code == 2
         assert "first vertex (3,1)" in err
 
+    def test_orbit_on_an_ellipsoid_triangle(self, capsys, tmp_path):
+        # E(1, 233/144): e+ and e- have index 2 and 4, as `index ellipsoid`
+        path = tmp_path / "e1.dom"
+        path.write_text("n = 1\nvertices = (1,1) (0,233/144)\n")
+        for flag, expected in (("--m-plus", "I = 2\n"), ("--m-minus", "I = 4\n")):
+            code, out, _ = run(capsys, ["index", "orbit", str(path), flag, "1"])
+            assert (code, out) == (0, expected)
+
     def test_homology_error(self, capsys, domain_file):
         code, _, err = run(capsys, ["index", "orbit", domain_file, "--m-plus", "1"])
         assert code == 2

@@ -124,9 +124,10 @@ class TestScale:
 
 class TestRotationNumbers:
     def test_ellipsoid_like(self):
+        # the triangle of E_2(1, 2): (a - b)/(n*b) and (b - a)/(n*a)
         dom = e.validate_domain(2, [(2, 1), (0, 2)])
         rot = e.rotation_numbers(dom)
-        assert rot.phi_plus == Fraction(1, 4)
+        assert rot.phi_plus == Fraction(-1, 4)
         assert rot.phi_minus == Fraction(1, 2)
 
     def test_flat_boundary(self):
