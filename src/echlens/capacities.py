@@ -90,36 +90,39 @@ class CapacitySequence(Record):
         return len(self.ints)
 
 
-def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
-    """First kmax+1 values a*k1 + b*k2 over k1 + k2 = 0 mod n, sorted with
-    repetitions (lazy priority-queue merge over rows of fixed k1).  The
-    singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
+def _ellipsoid_ints(n: int, a, b):
+    """(ia, ib, d) with a = ia/d and b = ib/d for E_n(a, b), the one check
+    of its parameters: NonPositivePeriod unless n >= 1 and a, b > 0."""
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
         raise NonPositivePeriod(f"n must be a positive integer, got {n}")
-    # the heap holds ints: a = ia/scale, b = ib/scale
-    scale = lcm(a.denominator, b.denominator)
-    ia, ib = int(a * scale), int(b * scale)
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
-    def row_head(k1):
-        k2 = (-k1) % n
-        return (ia * k1 + ib * k2, k1, k2)
 
-    # Rows of fixed k1 are sorted, but their heads are not monotone in k1
-    # (head = a*k1 + b*((-k1) mod n)); inject a row as soon as its lower
-    # bound a*k1 could still beat the current minimum.
-    heap = [row_head(0)]
+def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
+    """First kmax+1 values a*k1 + b*k2 over k1 + k2 = 0 mod n, sorted with
+    repetitions (lazy priority-queue merge over rows of fixed k1).  The
+    singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
+    ia, ib, scale = _ellipsoid_ints(n, a, b)
+    # Row k1 is the progression ia*k1 + ib*((-k1) mod n) + j*step, and every
+    # row has the same step, so a popped value's successor in its row is
+    # value + step whichever row it came from: the heap holds bare ints.
+    step = n * ib
+    # Row heads are not monotone in k1; inject a row as soon as its lower
+    # bound ia*k1 could still beat the current minimum.
+    heap = [0]
     next_k1 = 1
     out = []
     while len(out) <= kmax:
-        while ia * next_k1 <= heap[0][0]:
-            heapq.heappush(heap, row_head(next_k1))
+        while ia * next_k1 <= heap[0]:
+            heapq.heappush(heap, ia * next_k1 + ib * (-next_k1 % n))
             next_k1 += 1
-        value, k1, k2 = heapq.heappop(heap)
+        value = heap[0]
         out.append(value)
-        heapq.heappush(heap, (value + n * ib, k1, k2 + n))
+        heapq.heapreplace(heap, value + step)
     return CapacitySequence(out, scale)
 
 
@@ -218,6 +221,8 @@ def obstruction_report(
     obstructions by monotonicity)."""
     if kmax is None:
         kmax = min(len(source), len(target)) - 1
+    elif kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     if len(source) <= kmax or len(target) <= kmax:
         raise InsufficientLength(
             f"sequences of length {len(source)}, {len(target)} do not cover kmax={kmax}"
@@ -238,15 +243,14 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     from .domains import validate_domain
     from .paths import ConcaveGenerator, empty_path
 
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
+    ia, ib, _ = _ellipsoid_ints(n, a, b)
     # orbit_set_index's guards, with messages in the caller's r and s
     if r < 0 or s < 0:
         raise ValueError("multiplicities must be non-negative")
     if (r + s) % n != 0:
         raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
-    triangle = validate_domain(n, ((n * a, a), (0, b)))
+    # the index depends on the rotation numbers, so only on the ratio b/a
+    triangle = validate_domain(n, ((n * ia, ia), (0, ib)))
     empty = ConcaveGenerator(path=empty_path(n), labels=())
     return orbit_set_index(triangle, OrbitSetDescriptor(r, s, empty))
 
@@ -317,30 +321,27 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     whose multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
     ResourceLimit before any work.
     """
-    a, b = Fraction(a), Fraction(b)
+    ia, ib, d = _ellipsoid_ints(n, a, b)
     if kmax_layers < 0:
         raise ValueError("layer count must be non-negative")
-    if a <= 0 or b <= 0:
-        raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
+    params = f"a={Fraction(ia, d)}, b={Fraction(ib, d)}"
     target_count = _orbit_set_count(n, kmax_layers)
     bound = 2 * (target_count - 1)
     top = kmax_layers * n
     # In units u = t*d of the common denominator d, with a = ia/d and
     # b = ib/d, the lower bound stays in the window exactly when
     # u*(u - n*max(ia, ib)) <= n*ia*ib*bound, that is when u <= u_max.
-    d = lcm(a.denominator, b.denominator)
-    ia, ib = int(a * d), int(b * d)
     nh = n * max(ia, ib)
     u_max = (nh + isqrt(nh * nh + 4 * n * ia * ib * bound)) // 2
     top_r, top_s = max(top, u_max // ia), max(top, u_max // ib)
     if max(top_r, top_s) > INDEX_MULTIPLICITY_BUDGET:
         raise ResourceLimit(
-            f"orbit sets of a={a}, b={b} up to layer {u_max // (n * min(ia, ib))} can enter "
+            f"orbit sets of {params} up to layer {u_max // (n * min(ia, ib))} can enter "
             f"the window of {kmax_layers} layers; their multiplicities reach "
             f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
     # E_n(a, b)'s rotation numbers; floors_plus[r] sums floor(i*phi_plus), i <= r
-    phi_plus, phi_minus = (a - b) / (n * b), (b - a) / (n * a)
+    phi_plus, phi_minus = Fraction(ia - ib, n * ib), Fraction(ib - ia, n * ia)
     floors_plus = list(accumulate(_rotation_floors(phi_plus, top_r)))
     floors_minus = list(accumulate(_rotation_floors(phi_minus, top_s)))
 
@@ -370,7 +371,7 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     if first_integer <= imax:
         raise DegenerateRatio(
             f"floor argument is an exact integer at multiplicity {first_integer}; "
-            f"the ratio of a={a}, b={b} is too rational for {kmax_layers} layers"
+            f"the ratio of {params} is too rational for {kmax_layers} layers"
         )
 
     entries.sort()
@@ -382,11 +383,13 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
 
 def spectrum_from_orbit_indices(n: int, a, b, count: int):
     """Actions a*r + b*s of the orbit sets with index 0, 2, ..., 2(count-1)."""
-    a, b = Fraction(a), Fraction(b)
+    ia, ib, d = _ellipsoid_ints(n, a, b)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     layers = 1
     while _orbit_set_count(n, layers) < count:
         layers += 1
     ok, certificate = index_bijectivity_check(n, a, b, layers)
     if not ok:
         raise DegenerateRatio("index is not bijective on the tested range")
-    return [a * r + b * s for _, (r, s) in certificate[:count]]
+    return [Fraction(ia * r + ib * s, d) for _, (r, s) in certificate[:count]]

@@ -16,17 +16,16 @@ from .errors import DomainError
 from .record import Record
 
 DEFAULT_SEED = 2024
+MAX_COORD = 8
 
 
-def random_concave_domain(
-    rng: random.Random, n: int | None = None, max_coord: int = 8
-) -> ConcaveDomain:
-    """A random valid concave domain with n in {1..4}, coordinates <= max_coord,
+def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDomain:
+    """A random valid concave domain with n in {1..4}, coordinates <= MAX_COORD,
     and at most 4 boundary edges."""
     while True:
         nn = n if n is not None else rng.randint(1, 4)
         den = rng.choice([1, 1, 1, 2, 3])
-        top = max(1, (max_coord * den) // nn)
+        top = max(1, (MAX_COORD * den) // nn)
         a0 = Fraction(rng.randint(1, top), den)
         extra = rng.randint(0, 2)
         vertices = [(nn * a0, a0)]
@@ -40,12 +39,12 @@ def random_concave_domain(
                 continue
             d = rng.choice([1, 2])
             lo = int(x * d // nn) + 1
-            hi = max_coord * d
+            hi = MAX_COORD * d
             if lo > hi:
                 continue
             vertices.append((x, Fraction(rng.randint(lo, hi), d)))
         d = rng.choice([1, 2])
-        vertices.append((Fraction(0), Fraction(rng.randint(1, max_coord * d), d)))
+        vertices.append((Fraction(0), Fraction(rng.randint(1, MAX_COORD * d), d)))
         try:
             return validate_domain(nn, vertices)
         except DomainError:

@@ -145,7 +145,7 @@ def parse_domain_file(text: str) -> ConcaveDomain:
 
     line 1: ``n = <positive integer>``
     line 2: ``vertices = (x1,y1) (x2,y2) ...``
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored; each key appears once.
     """
     n = None
     vertices = None
@@ -159,6 +159,8 @@ def parse_domain_file(text: str) -> ConcaveDomain:
         key = key.strip()
         value = value.strip()
         col = raw.index("=") + 2
+        if (key == "n" and n is not None) or (key == "vertices" and vertices is not None):
+            raise ParseError(f"repeated key {key!r}", lineno, 1)
         if key == "n":
             try:
                 n = int(value)

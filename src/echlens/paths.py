@@ -41,15 +41,9 @@ class IntegralPath(Record):
             out.append(cur)
         return out
 
-    def is_empty(self) -> bool:
-        return not self.edges
-
 
 class ConcaveGenerator(Record):
     __slots__ = ("path", "labels")  # labels: one 'e'/'h' per distinct edge direction
-
-    def h_count(self) -> int:
-        return sum(1 for lab in self.labels if lab == "h")
 
 
 def empty_path(n: int) -> IntegralPath:
@@ -105,21 +99,15 @@ def _edge_count(n: int, x1, y1, x2, y2) -> int:
     return w * y2 - geo.floor_sum(w, w, dy, 0) + geo.floor_sum(w, n, -1, -x2)
 
 
-def _count_columns(n: int, verts) -> int:
-    """Lattice points under a leftward graph path, excluding points on the path.
-
-    Works for any chain of lattice vertices with strictly decreasing x that
-    stays in the cone; concavity is not assumed (the auxiliary paths of the
-    orbit-set index are not concave).
-    """
-    return sum(_edge_count(n, *u, *v) for u, v in zip(verts, verts[1:]))
-
-
 def lattice_count(path: IntegralPath) -> int:
-    """L_n: lattice points enclosed by the path and the two rays, minus the path."""
-    if path.is_empty():
-        return 0
-    return _count_columns(path.n, path.vertices())
+    """L_n: lattice points enclosed by the path and the two rays, minus the path.
+
+    Works for any chain of vertices with strictly decreasing x that stays in
+    the cone; concavity is not assumed (the auxiliary paths of the orbit-set
+    index are not concave).  The empty path has one vertex and counts 0.
+    """
+    verts = path.vertices()
+    return sum(_edge_count(path.n, *u, *v) for u, v in zip(verts, verts[1:]))
 
 
 def homology_class(w, n: int):
@@ -132,7 +120,7 @@ def homology_class(w, n: int):
 
 def generator_index(gen: ConcaveGenerator) -> int:
     """Combinatorial index 2*L_n + (number of hyperbolic labels)."""
-    return 2 * lattice_count(gen.path) + gen.h_count()
+    return 2 * lattice_count(gen.path) + gen.labels.count("h")
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +244,9 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
 _PATH_RE = re.compile(
     r"^start=\((-?\d+),(-?\d+)\);\s*edges=\[(.*?)\](?:;\s*labels=\[(.*?)\])?$"
 )
-_EDGE_RE = re.compile(r"\((-?\d+),(-?\d+)\)x(\d+)")
+_EDGE = r"\((-?\d+),(-?\d+)\)x(\d+)"
+_EDGE_RE = re.compile(_EDGE)
+_EDGE_LIST_RE = re.compile(rf"\s*(?:{_EDGE}(?:\s*,\s*{_EDGE})*)?\s*")
 
 
 def parse_path_text(n: int, text: str):
@@ -265,9 +255,10 @@ def parse_path_text(n: int, text: str):
     if m is None:
         raise PathError(f"cannot parse path text {text!r}")
     start = (int(m.group(1)), int(m.group(2)))
-    edges = []
-    for em in _EDGE_RE.finditer(m.group(3)):
-        edges.append(((int(em.group(1)), int(em.group(2))), int(em.group(3))))
+    body = m.group(3)
+    if _EDGE_LIST_RE.fullmatch(body) is None:
+        raise PathError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
+    edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in _EDGE_RE.findall(body))
     labels = None
     if m.group(4) is not None:
         labels = tuple(tok.strip() for tok in m.group(4).split(",") if tok.strip())
@@ -275,7 +266,7 @@ def parse_path_text(n: int, text: str):
             raise PathError(f"labels must be 'e' or 'h', got {labels}")
         if len(labels) != len(edges):
             raise PathError("need exactly one label per distinct edge direction")
-    return make_path(n, start, tuple(edges)), labels
+    return make_path(n, start, edges), labels
 
 
 def path_to_text(path: IntegralPath, labels=None) -> str:

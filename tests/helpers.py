@@ -10,21 +10,22 @@ from echlens.geometry import in_cone
 
 def brute_combination_sequence(n, a, b, kmax):
     """Sorted-with-repetition values a*k1 + b*k2 with k1 + k2 divisible by n,
-    by exhaustive double loop over a box that is provably large enough."""
+    by exhaustive double loop over a box that is provably large enough; the
+    values are ints over the common denominator until they are returned."""
     a, b = Fraction(a), Fraction(b)
-    limit = 0
+    den = a.denominator * b.denominator
+    ia, ib = a.numerator * b.denominator, b.numerator * a.denominator
+    limit = 16
     while True:
-        limit += 10
         vals = sorted(
-            a * k1 + b * k2
+            ia * k1 + ib * k2
             for k1 in range(limit + 1)
-            for k2 in range(limit + 1)
-            if (k1 + k2) % n == 0
+            for k2 in range(-k1 % n, limit + 1, n)
         )
         # values exceeding min(a,b)*limit might be missing from the box
-        cutoff = min(a, b) * limit
-        if len(vals) > kmax and vals[kmax] <= cutoff:
-            return vals[: kmax + 1]
+        if len(vals) > kmax and vals[kmax] <= min(ia, ib) * limit:
+            return [Fraction(v, den) for v in vals[: kmax + 1]]
+        limit *= 2
 
 
 def ball_closed_form(a, kmax, n=1):
@@ -50,7 +51,7 @@ def pick_lattice_count(path_or_n, chain=None):
     the polygon is simple); the chain need not be concave."""
     if chain is None:
         path = path_or_n
-        return 0 if path.is_empty() else pick_lattice_count(path.n, path.vertices())
+        return 0 if not path.edges else pick_lattice_count(path.n, path.vertices())
     n = path_or_n
     assert chain[0][0] == n * chain[0][1] and chain[-1][0] == 0
     poly = [(0, 0)] + chain

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,10 +76,22 @@ class TestEllipsoidSequence:
         assert e.ellipsoid_sequence(1, 1, 1, 6).values == (0, 1, 1, 2, 2, 2, 3)
 
     def test_brute_force(self):
-        for n, a, b in [(1, 1, 2), (2, 1, FIB), (3, Fraction(5, 2), Fraction(1, 3)), (4, 2, 3)]:
-            assert list(e.ellipsoid_sequence(n, a, b, 40).values) == brute_combination_sequence(
-                n, a, b, 40
-            )
+        # ties, where rows share values: a = b, and b/a of small height
+        cases = [(1, 1, 2), (2, 1, FIB), (3, Fraction(5, 2), Fraction(1, 3)), (4, 2, 3)]
+        cases = [(n, a, b, 40) for n, a, b in cases]
+        rng = random.Random(15)
+        for i in range(196):
+            n, a = rng.randint(1, 6), Fraction(rng.randint(1, 12), rng.randint(1, 6))
+            if i % 3 == 0:
+                b = a
+            elif i % 3 == 1:
+                b = a * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            else:
+                b = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+            cases.append((n, a, b, rng.randint(0, 200)))
+        for n, a, b, kmax in cases:
+            got = list(e.ellipsoid_sequence(n, a, b, kmax).values)
+            assert got == brute_combination_sequence(n, a, b, kmax), (n, a, b, kmax)
 
     def test_rejects(self):
         with pytest.raises(NonPositivePeriod):
@@ -590,6 +605,42 @@ class TestBijectivity:
             assert actions == list(e.ellipsoid_sequence(n, 1, FIB, 19).values)
 
 
+class TestEllipsoidParameters:
+    # every E_n(a, b) entry point rejects n < 1 before any other work
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda n: e.ellipsoid_sequence(n, 1, FIB, 5),
+            lambda n: e.ellipsoid_orbit_index(n, 1, FIB, 2, 0),
+            lambda n: e.index_bijectivity_check(n, 1, FIB, 2),
+        ],
+        ids=["sequence", "orbit_index", "bijectivity"],
+    )
+    def test_non_positive_n(self, entry, n):
+        with pytest.raises(NonPositivePeriod):
+            entry(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_spectrum_returns_at_once(self, n):
+        # its layer search never ended for n < 0, so a child process bounds the wait
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from echlens.capacities import spectrum_from_orbit_indices\n"
+            "from echlens.errors import NonPositivePeriod\n"
+            "try:\n"
+            f"    spectrum_from_orbit_indices({n}, 1, Fraction(233, 144), 5)\n"
+            "except NonPositivePeriod:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(e.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+        assert done.returncode == 0
+
+
 class TestClosedFormUnion:
     def test_against_union_sequence(self):
         rng = random.Random(8)
@@ -635,8 +686,15 @@ class TestCapacitySequenceInvariants:
             lambda kmax: e.capacities_via_weights(EXAMPLE, kmax),
             lambda kmax: e.capacities_via_oracle(EXAMPLE, kmax),
             lambda kmax: e.enumerate_paths_up_to(2, kmax),
+            lambda kmax: e.obstruction_report(
+                e.ellipsoid_sequence(1, 1, 1, 3), e.ellipsoid_sequence(1, 1, 1, 3), kmax
+            ),
+            lambda kmax: e.spectrum_from_orbit_indices(2, 1, FIB, kmax),
         ],
-        ids=["ellipsoid", "ball", "union", "weights", "oracle", "enumerate"],
+        ids=[
+            "ellipsoid", "ball", "union", "weights", "oracle", "enumerate", "obstruction",
+            "spectrum",
+        ],
     )
     def test_negative_kmax(self, route):
         with pytest.raises(ValueError):

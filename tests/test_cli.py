@@ -315,6 +315,19 @@ class TestIndex:
         assert code == 2
         assert "first vertex (3,1)" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["edges=[(-2,1)x1, (-1,0)]; labels=[e]", "edges=[(-2,1)x1 junk]; labels=[e]"],
+        ids=["edge-without-multiplicity", "trailing-junk"],
+    )
+    def test_unparsed_edge_text_exit_2(self, capsys, domain_file, text):
+        code, out, err = run(
+            capsys,
+            ["index", "orbit", domain_file, "--m-plus", "2", "--path", f"start=(2,1); {text}"],
+        )
+        assert (code, out) == (2, "")
+        assert "edge list" in err
+
     def test_orbit_on_an_ellipsoid_triangle(self, capsys, tmp_path):
         # E(1, 233/144): e+ and e- have index 2 and 4, as `index ellipsoid`
         path = tmp_path / "e1.dom"

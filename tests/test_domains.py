@@ -181,6 +181,19 @@ class TestParseDomainFile:
             e.parse_domain_file("n = 2\nvertices = (2,1) (0,x)\n")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n = 2\nvertices = (2,1) (0,1)\nn = 2\n",
+            "n = 2\nvertices = (2,1) (0,1)\n# again\nvertices = (4,2) (0,2)\n",
+        ],
+        ids=["n", "vertices"],
+    )
+    def test_repeated_key(self, text):
+        with pytest.raises(ParseError, match="repeated key") as info:
+            e.parse_domain_file(text)
+        assert (info.value.line, info.value.column) == (len(text.splitlines()), 1)
+
     def test_unknown_key(self):
         with pytest.raises(ParseError):
             e.parse_domain_file("n = 2\nfoo = 1\nvertices = (2,1) (0,1)\n")

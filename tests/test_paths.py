@@ -18,7 +18,7 @@ from helpers import (
 class TestConstruction:
     def test_empty(self):
         p = e.empty_path(2)
-        assert p.is_empty()
+        assert p.edges == ()
         assert p.start == (0, 0)
         assert e.lattice_count(p) == 0
 
@@ -92,7 +92,10 @@ class TestLatticeCount:
             while x > 0:
                 x = rng.randint(0, x - 1)
                 chain.append((x, x // n + 1 + rng.randint(0, 6)))
-            assert paths._count_columns(n, chain) == pick_lattice_count(n, chain)
+            # an unvalidated path: one edge per chain step, multiplicity 1
+            steps = tuple(((v[0] - u[0], v[1] - u[1]), 1) for u, v in zip(chain, chain[1:]))
+            path = e.IntegralPath(n, chain[0], steps)
+            assert e.lattice_count(path) == pick_lattice_count(n, chain)
 
 
 class TestCountKernels:
