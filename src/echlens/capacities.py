@@ -33,7 +33,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .domains import ConcaveDomain
 
-DEFAULT_ORACLE_BUDGET = 24
 INDEX_MULTIPLICITY_BUDGET = 1 << 20
 
 MONOTONICITY_NOTE = (
@@ -162,14 +161,13 @@ def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence
     return union_sequence(seqs, kmax)
 
 
-def capacities_via_oracle(
-    domain: ConcaveDomain, kmax: int, budget: int = DEFAULT_ORACLE_BUDGET, delta=0
-) -> CapacitySequence:
+def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> CapacitySequence:
     """Brute-force route: per k, maximize the length l - delta*y of the
     rational blow-up of size delta over all paths with L_n = k (delta = 0 is
-    the domain itself).  omega_length_edge depends only on the primitive
-    direction, so each direction met is priced once, as an int over the LCM
-    of the vertex and delta denominators, and a path's length is an int sum."""
+    the domain itself), enumerated under paths.PATH_BUDGET.  omega_length_edge
+    depends only on the primitive direction, so each direction met is priced
+    once, as an int over the LCM of the vertex and delta denominators, and a
+    path's length is an int sum."""
     from .domains import omega_length_edge, singular_ball_capacity
     from .paths import enumerate_paths_up_to
 
@@ -177,10 +175,6 @@ def capacities_via_oracle(
     delta = Fraction(delta)
     if delta < 0 or (delta > 0 and delta >= singular_ball_capacity(domain)):
         raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
-    if kmax > budget:
-        raise ResourceLimit(
-            f"kmax={kmax} exceeds the enumeration budget {budget}; raise `budget` explicitly"
-        )
     buckets = enumerate_paths_up_to(domain.n, kmax)
     scale = lcm(delta.denominator, *(c.denominator for v in domain.vertices for c in v))
     shift = int(delta * scale)
@@ -345,24 +339,18 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     floors_plus = list(accumulate(_rotation_floors(phi_plus, top_r)))
     floors_minus = list(accumulate(_rotation_floors(phi_minus, top_s)))
 
-    # the index of orbit_set_index on the triangle, with both floor sums looked up
+    # the orbit sets (r + s a multiple of n) of the layers, r + s <= top, and
+    # the later ones with a*r + b*s within u_max, each priced by the index of
+    # orbit_set_index on the triangle with both floor sums looked up
     entries = []
-    for k in range(kmax_layers + 1):
-        m = k * n
-        base = n * k * (k + 1) + 2 * k
-        entries.extend(
-            (base + 2 * (floors_plus[r] + floors_minus[m - r]), (r, m - r))
-            for r in range(m + 1)
-        )
-    # later layers: r + s a multiple of n above top, a*r + b*s within u_max
     imax = top
-    for s in range(u_max // ib + 1):
-        for r in range(max(-s % n, top + n - s), (u_max - ib * s) // ia + 1, n):
+    for s in range(top_s + 1):
+        for r in range(-s % n, max(top - s, (u_max - ib * s) // ia) + 1, n):
             k = (r + s) // n
             index = n * k * (k + 1) + 2 * k + 2 * (floors_plus[r] + floors_minus[s])
             entries.append((index, (r, s)))
-            # such entries influence the verdict (and thus need exact
-            # floors) only when they land inside the target window
+            # entries influence the verdict (and thus need exact floors) only
+            # inside the target window; the layers' have r, s <= top already
             if index <= bound:
                 imax = max(imax, r, s)
 

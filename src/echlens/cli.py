@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kmax", type=_nonneg_int, default=8)
     p.add_argument("--method", choices=["weights", "oracle", "both"], default="both")
-    p.add_argument("--budget", type=_nonneg_int, default=cap.DEFAULT_ORACLE_BUDGET)
     _add_format_flags(p)
 
     p = sub.add_parser("weights", help="weight expansion of a concave domain")
@@ -138,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--delta", type=_rational, required=True)
     p.add_argument("--kmax", type=_nonneg_int, default=8)
-    p.add_argument("--budget", type=_nonneg_int, default=cap.DEFAULT_ORACLE_BUDGET)
     _add_format_flags(p)
 
     p = sub.add_parser("obstruct", help="capacity obstructions to embedding source into target")
@@ -191,7 +189,7 @@ def cmd_domain(args) -> int:
     if args.method in ("weights", "both"):
         results["weights"] = cap.capacities_via_weights(domain, args.kmax)
     if args.method in ("oracle", "both"):
-        results["oracle"] = cap.capacities_via_oracle(domain, args.kmax, budget=args.budget)
+        results["oracle"] = cap.capacities_via_oracle(domain, args.kmax)
     for name in ("weights", "oracle"):
         if name in results:
             if args.method == "both":
@@ -250,7 +248,7 @@ def cmd_check(args) -> int:
 
 def cmd_blowup(args) -> int:
     domain = _load_domain(args.file)
-    seq = cap.capacities_via_oracle(domain, args.kmax, budget=args.budget, delta=args.delta)
+    seq = cap.capacities_via_oracle(domain, args.kmax, delta=args.delta)
     _render_sequence(seq, args.format, args.decimal)
     return EXIT_OK
 
@@ -314,6 +312,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "decimal", None) is not None and args.format == "csv":
+        parser.error("--decimal approximates the table format; --format csv is exact")
     try:
         return _HANDLERS[args.command](args)
     except ResourceLimit as exc:

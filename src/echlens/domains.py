@@ -44,8 +44,8 @@ def validate_domain(n: int, vertices) -> ConcaveDomain:
     """Validate a raw vertex chain, raising the first violated invariant."""
     if n < 1:
         raise VertexOutsideCone(f"n must be a positive integer, got {n}")
-    # Integer coordinates are checked as ints: every lattice path is validated
-    # here, and int arithmetic is several times cheaper than Fraction's.
+    # Integer coordinates are checked as ints, several times cheaper than as
+    # Fractions; given and corounded paths come here, enumerated ones do not.
     verts = tuple((_exact(x), _exact(y)) for x, y in vertices)
     if len(verts) < 2:
         raise EmptyBoundary("boundary needs at least two vertices")

@@ -18,7 +18,7 @@ from math import ceil, gcd
 
 from . import geometry as geo
 from .domains import boundary_height, validate_domain
-from .errors import DomainError, InvalidVertex, PathError, ZeroEdge
+from .errors import DomainError, InvalidVertex, PathError, ResourceLimit, ZeroEdge
 from .record import Record, _set
 
 
@@ -128,6 +128,7 @@ def generator_index(gen: ConcaveGenerator) -> int:
 
 
 _ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
+PATH_BUDGET = 1 << 17  # paths per enumeration; every n >= 24 has 109 016 with L_n <= 24
 
 
 def _completion_bound(n: int, x2, y2, dx, dy) -> int:
@@ -150,12 +151,15 @@ def _enumerate_all(n: int, kmax: int):
     bound exceeds kmax is dead.  Raising the new vertex in its column pivots
     the edge's line upward about the previous vertex, so the count and the
     bound both only grow with the height, and each column's heights run from
-    the slope bound to the first dead chain.
+    the slope bound to the first dead chain.  Building more than
+    PATH_BUDGET paths raises ResourceLimit.
     """
     buckets = {k: [] for k in range(kmax + 1)}
     buckets[0].append(empty_path(n))
+    found = 1
 
     def extend(start, x1, y1, edges, count, px, py):
+        nonlocal found
         for x2 in range(x1 - 1, -1, -1):
             y2 = y1 + (py * (x2 - x1)) // px + 1
             while True:
@@ -166,6 +170,11 @@ def _enumerate_all(n: int, kmax: int):
                 g = gcd(dx, dy)
                 new_edges = edges + (((dx // g, dy // g), g),)
                 if x2 == 0:
+                    found += 1
+                    if found > PATH_BUDGET:
+                        raise ResourceLimit(
+                            f"n={n}, kmax={kmax}: more paths than the budget of {PATH_BUDGET}"
+                        )
                     buckets[new_count].append(IntegralPath(n, start, new_edges))
                 else:
                     extend(start, x2, y2, new_edges, new_count, dx, dy)
@@ -179,7 +188,7 @@ def _enumerate_all(n: int, kmax: int):
 def enumerate_paths_up_to(n: int, kmax: int):
     """Buckets {k: paths with L_n = k} for all k <= kmax, in the enumeration's
     depth-first order (the same for every kmax), read from one cached
-    enumeration per n."""
+    enumeration per n; ResourceLimit past PATH_BUDGET paths, caching nothing."""
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     cached = _ENUM_CACHE.get(n)
@@ -259,11 +268,12 @@ def parse_path_text(n: int, text: str):
     if _EDGE_LIST_RE.fullmatch(body) is None:
         raise PathError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
     edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in _EDGE_RE.findall(body))
-    labels = None
-    if m.group(4) is not None:
-        labels = tuple(tok.strip() for tok in m.group(4).split(",") if tok.strip())
+    labels, text = None, m.group(4)
+    if text is not None:
+        # an empty token is an error; only `labels=[]` lists no labels
+        labels = tuple(tok.strip() for tok in text.split(",")) if text.strip() else ()
         if any(lab not in ("e", "h") for lab in labels):
-            raise PathError(f"labels must be 'e' or 'h', got {labels}")
+            raise PathError(f"labels must be 'e' or 'h', got [{text}]")
         if len(labels) != len(edges):
             raise PathError("need exactly one label per distinct edge direction")
     return make_path(n, start, edges), labels

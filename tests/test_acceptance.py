@@ -82,7 +82,7 @@ def test_a4_route_agreement_and_a5_first_capacity():
 
 
 def test_route_agreement_at_kmax_20():
-    # A4's check at twice its kmax, within the default oracle budget
+    # A4's check at twice its kmax, well within the oracle's path budget
     rng = random.Random(2020)
     for n in (1, 2, 3, 4):
         for _ in range(4):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens.capacities import DEFAULT_ORACLE_BUDGET
+from echlens import paths
 from echlens.errors import (
     DegenerateRatio,
     DeltaTooLarge,
@@ -291,12 +291,21 @@ class TestOracleRoute:
                         )
         assert len(scales) > 3
 
-    def test_budget(self):
+    def test_budget_counts_paths_not_kmax(self):
+        # 3908 paths: far inside the path budget, past the old kmax cap of 24
+        assert e.capacities_via_oracle(B21, 25) == e.capacities_via_weights(B21, 25)
+
+    def test_budget(self, small_path_budget):
+        with pytest.raises(ResourceLimit, match="n=2, kmax=9: .*budget of 100"):
+            e.capacities_via_oracle(B21, 9)
+        with pytest.raises(ResourceLimit, match="budget"):
+            e.enumerate_paths_up_to(2, 9)
+        # a refused enumeration caches nothing, and a smaller one still runs
+        assert paths._ENUM_CACHE == {}
+        assert e.capacities_via_oracle(B21, 8) == e.capacities_via_weights(B21, 8)
         with pytest.raises(ResourceLimit):
-            e.capacities_via_oracle(B21, DEFAULT_ORACLE_BUDGET + 1)
-        # explicit budget overrides the default
-        seq = e.capacities_via_oracle(B21, 11, budget=11)
-        assert len(seq) == 12
+            e.capacities_via_oracle(B21, 9)
+        assert len(paths._ENUM_CACHE[2]) == 9
 
 
 class TestBlowup:
@@ -317,14 +326,14 @@ class TestBlowup:
         for k in range(6):
             assert base[k] >= small[k] >= large[k]
 
-    def test_delta_too_large(self):
+    def test_delta_too_large(self, small_path_budget):
         with pytest.raises(DeltaTooLarge):
             e.capacities_via_oracle(B21, 3, delta=1)
         with pytest.raises(DeltaTooLarge):
             e.capacities_via_oracle(B21, 3, delta=Fraction(-1, 2))
-        # checked before the budget and the enumeration
+        # checked before the enumeration, so before its budget
         with pytest.raises(DeltaTooLarge):
-            e.capacities_via_oracle(B21, DEFAULT_ORACLE_BUDGET + 1, delta=1)
+            e.capacities_via_oracle(B21, 9, delta=1)
 
 
 class TestSingularBallCapacity:

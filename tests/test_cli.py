@@ -79,6 +79,13 @@ class TestEllipsoid:
         assert code == 0
         assert line in out.splitlines()
 
+    def test_decimal_with_csv_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["ball", "--a", "1/3", "--kmax", "3", "--format", "csv", "--decimal", "4"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--decimal" in captured.err
+
     def test_rejects_zero_period(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["ellipsoid", "--n", "2", "--a", "0", "--b", "1"])
@@ -180,10 +187,27 @@ class TestDomain:
         assert "first vertex (3,1)" in err
         assert "Fraction(" not in err
 
-    def test_budget_exit_3(self, capsys, ball_file):
-        code, _, err = run(capsys, ["domain", ball_file, "--kmax", "25", "--method", "oracle"])
-        assert code == 3
+    def test_kmax_past_24_runs(self, capsys, ball_file):
+        # the budget counts enumerated paths: B21 at kmax 25 is 3908 of them
+        code, out, _ = run(capsys, ["domain", ball_file, "--kmax", "25", "--method", "both"])
+        assert (code, out.splitlines()[-1]) == (0, "DIFF: none")
+
+    def test_budget_exit_3(self, capsys, ball_file, small_path_budget):
+        argv = ["domain", ball_file, "--method", "oracle", "--kmax"]
+        code, out, err = run(capsys, argv + ["9"])
+        assert (code, out) == (3, "")
         assert "budget" in err
+        # a smaller run after the refused one still succeeds
+        code, out, _ = run(capsys, argv + ["8"])
+        assert (code, len(out.splitlines())) == (0, 10)
+
+    @pytest.mark.parametrize(
+        "command", [["domain"], ["blowup", "--delta", "1/4"]], ids=["domain", "blowup"]
+    )
+    def test_has_no_budget_flag(self, capsys, ball_file, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command[0], ball_file, *command[1:], "--budget", "3"])
+        assert exc.value.code == 2
 
 
 class TestWeights:
@@ -335,6 +359,15 @@ class TestIndex:
         for flag, expected in (("--m-plus", "I = 2\n"), ("--m-minus", "I = 4\n")):
             code, out, _ = run(capsys, ["index", "orbit", str(path), flag, "1"])
             assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("labels", ["e,,", ",e"], ids=["trailing-empty", "leading-empty"])
+    def test_empty_label_exit_2(self, capsys, domain_file, labels):
+        text = f"start=(2,1); edges=[(-2,1)x1]; labels=[{labels}]"
+        code, out, err = run(
+            capsys, ["index", "orbit", domain_file, "--m-plus", "2", "--path", text]
+        )
+        assert (code, out) == (2, "")
+        assert "labels must be" in err
 
     def test_homology_error(self, capsys, domain_file):
         code, _, err = run(capsys, ["index", "orbit", domain_file, "--m-plus", "1"])
