@@ -15,7 +15,6 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 from .errors import (
-    DegenerateRatio,
     DeltaTooLarge,
     HomologyNotZero,
     InsufficientLength,
@@ -257,7 +256,12 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     """Index of an orbit set with exceptional-orbit powers: the combinatorial
     index of the auxiliary path (m_plus horizontal unit edges, the
     generator's edges, m_minus horizontal unit edges), plus 2 per
-    exceptional orbit and twice each rotation floor sum."""
+    exceptional orbit and twice each rotation floor sum.
+
+    The floors are read under a perturbation of the end edges that moves
+    phi_plus down and phi_minus up, as E_n(a, b) -> E_n(a, b(1+eps)) does
+    on the ellipsoid's triangle: floor'(i*phi_plus) is i*phi_plus - 1 where
+    that is an integer, so floor'(x) >= x - 1 with equality at integers."""
     from .domains import rotation_numbers
     from .paths import ConcaveGenerator, IntegralPath, generator_index
 
@@ -279,8 +283,11 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
             raise PathError(f"auxiliary path vertex {v} leaves the cone")
     rot = rotation_numbers(domain)
     total = generator_index(ConcaveGenerator(aux, gen.labels)) + 2 * m_plus + 2 * m_minus
-    for phi, m in ((rot.phi_plus, m_plus), (rot.phi_minus, m_minus)):
-        total += 2 * floor_sum(m + 1, phi.denominator, phi.numerator, 0)
+    # each sum runs over 1 <= i <= m of (i*p - shift) // q, phi = p/q: an
+    # integral i*phi_plus counts one less, as at E_n(a, b(1+eps))
+    for phi, m, shift in ((rot.phi_plus, m_plus, 1), (rot.phi_minus, m_minus, 0)):
+        p, q = phi.numerator, phi.denominator
+        total += 2 * floor_sum(m, q, p, p - shift)
     return total
 
 
@@ -293,10 +300,11 @@ def _orbit_set_count(n: int, layers: int) -> int:
     return (layers + 1) * (n * layers + 2) // 2
 
 
-def _rotation_floors(phi, m: int):
-    """floor(i*phi) for i = 0..m, as ints from phi's numerator and denominator."""
+def _rotation_floors(phi, m: int, shift: int):
+    """Prefix sums of (i*p - shift) // q over 1 <= i <= j for j = 0..m, with
+    phi = p/q: orbit_set_index's floor sums for every multiplicity up to m."""
     p, q = phi.numerator, phi.denominator
-    return (i * p // q for i in range(m + 1))
+    return list(accumulate(((i * p - shift) // q for i in range(1, m + 1)), initial=0))
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
@@ -307,18 +315,20 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     orbit sets are exactly 0, 2, ..., 2(T-1).  Returns (ok, certificate)
     where the certificate is the sorted (index, (r, s)) table of the T
     smallest among those layers and every later orbit set that can enter
-    the window [0, 2(T-1)].  floor(x) > x - 1 bounds the index of the orbit
-    set of action t = a*r + b*s below by t^2/(nab) - t/min(a, b), so the
-    window's top fixes the last action, and the last layer, that can enter
-    it.  The rotation floor sums come from two int prefix arrays sized to
-    the largest multiplicity scanned, so each orbit set costs O(1); a scan
-    whose multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
+    the window [0, 2(T-1)].  The floors are orbit_set_index's, read at
+    b(1+eps), and floor'(x) >= x - 1 (with equality at integers) bounds the
+    index of the orbit set of action t = a*r + b*s below by
+    t^2/(nab) - t/min(a, b); the window's top fixes the last action, and the
+    last layer, that can enter it, and the test u <= u_max is non-strict, so
+    the scan misses no orbit set whose bound meets the top.  The rotation
+    floor sums come from two int prefix arrays sized to the largest
+    multiplicity scanned, so each orbit set costs O(1); a scan whose
+    multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
     ResourceLimit before any work.
     """
     ia, ib, d = _ellipsoid_ints(n, a, b)
     if kmax_layers < 0:
         raise ValueError("layer count must be non-negative")
-    params = f"a={Fraction(ia, d)}, b={Fraction(ib, d)}"
     target_count = _orbit_set_count(n, kmax_layers)
     bound = 2 * (target_count - 1)
     top = kmax_layers * n
@@ -330,37 +340,25 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     top_r, top_s = max(top, u_max // ia), max(top, u_max // ib)
     if max(top_r, top_s) > INDEX_MULTIPLICITY_BUDGET:
         raise ResourceLimit(
-            f"orbit sets of {params} up to layer {u_max // (n * min(ia, ib))} can enter "
-            f"the window of {kmax_layers} layers; their multiplicities reach "
+            f"orbit sets of a={Fraction(ia, d)}, b={Fraction(ib, d)} up to layer "
+            f"{u_max // (n * min(ia, ib))} can enter the window of {kmax_layers} "
+            f"layers; their multiplicities reach "
             f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
-    # E_n(a, b)'s rotation numbers; floors_plus[r] sums floor(i*phi_plus), i <= r
-    phi_plus, phi_minus = Fraction(ia - ib, n * ib), Fraction(ib - ia, n * ia)
-    floors_plus = list(accumulate(_rotation_floors(phi_plus, top_r)))
-    floors_minus = list(accumulate(_rotation_floors(phi_minus, top_s)))
+    # E_n(a, b)'s rotation numbers; floors_plus[r] is orbit_set_index's
+    # phi_plus floor sum at multiplicity r
+    floors_plus = _rotation_floors(Fraction(ia - ib, n * ib), top_r, 1)
+    floors_minus = _rotation_floors(Fraction(ib - ia, n * ia), top_s, 0)
 
     # the orbit sets (r + s a multiple of n) of the layers, r + s <= top, and
     # the later ones with a*r + b*s within u_max, each priced by the index of
     # orbit_set_index on the triangle with both floor sums looked up
     entries = []
-    imax = top
     for s in range(top_s + 1):
         for r in range(-s % n, max(top - s, (u_max - ib * s) // ia) + 1, n):
             k = (r + s) // n
             index = n * k * (k + 1) + 2 * k + 2 * (floors_plus[r] + floors_minus[s])
             entries.append((index, (r, s)))
-            # entries influence the verdict (and thus need exact floors) only
-            # inside the target window; the layers' have r, s <= top already
-            if index <= bound:
-                imax = max(imax, r, s)
-
-    # i*phi = i*p/q in lowest terms is first an integer at i = q
-    first_integer = min(phi_plus.denominator, phi_minus.denominator)
-    if first_integer <= imax:
-        raise DegenerateRatio(
-            f"floor argument is an exact integer at multiplicity {first_integer}; "
-            f"the ratio of {params} is too rational for {kmax_layers} layers"
-        )
 
     entries.sort()
     certificate = entries[:target_count]
@@ -379,5 +377,5 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
         layers += 1
     ok, certificate = index_bijectivity_check(n, a, b, layers)
     if not ok:
-        raise DegenerateRatio("index is not bijective on the tested range")
+        raise AssertionError(f"index of E_{n}({a}, {b}) is not bijective on {layers} layers")
     return [Fraction(ia * r + ib * s, d) for _, (r, s) in certificate[:count]]

@@ -59,10 +59,10 @@ def _render_decimal(value, decimal: int) -> str:
     return f"~{whole}.{frac:0{decimal}d}"
 
 
-def _render_sequence(seq, fmt: str, decimal=None, out=None):
+def _render_sequence(seq, fmt: str, decimal=None):
     """Print a CapacitySequence as a table or CSV; c_k = ints[k]/scale is
     reduced with one gcd per value, and only --decimal builds Fractions."""
-    write = (out or sys.stdout).write
+    write = sys.stdout.write
     scale = seq.scale
     if fmt == "csv":
         write("k,numerator,denominator\n")

@@ -77,10 +77,6 @@ class HomologyNotZero(EchLensError):
     pass
 
 
-class DegenerateRatio(EchLensError):
-    pass
-
-
 class ParseError(EchLensError):
     """Text input failed to parse; carries 1-based line and column."""
 

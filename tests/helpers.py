@@ -191,7 +191,7 @@ def brute_floor_sums(phi, m):
 
 
 def brute_bijectivity(n, a, b, layers):
-    """(ok, certificate, degenerate) of the index-bijectivity check, by
+    """(ok, certificate) of the index-bijectivity check, by
     sorting every orbit set whose action t = a*r + b*s is at most A and
     slicing the T smallest.  floor(x) > x - 1 gives the index of any orbit
     set a lower bound t^2/(nab) - t/min(a, b), increasing for
@@ -199,10 +199,7 @@ def brute_bijectivity(n, a, b, layers):
     window 2(T-1) and the last certificate index, so no omitted orbit set
     can enter the certificate.  The orbit sets come from the triangle
     a*r + b*s <= A, row by row in r, so a ratio b/a far from 1 costs the
-    orbit sets in it, not the layers it spans.  `degenerate` is the least
-    multiplicity i at which i*phi+ or i*phi- is an integer, among i up to
-    the largest multiplicity of the target layers or of a later orbit set
-    inside the window, or None."""
+    orbit sets in it, not the layers it spans."""
     a, b = Fraction(a), Fraction(b)
     target = sum(k * n + 1 for k in range(layers + 1))
     bound = 2 * (target - 1)
@@ -229,12 +226,19 @@ def brute_bijectivity(n, a, b, layers):
             break
         big_a *= 2
     ok = [i for i, _ in certificate] == list(range(0, 2 * target, 2))
-    imax = max(
-        [layers * n]
-        + [max(r, s) for i, (r, s) in entries if i <= bound and r + s > layers * n]
-    )
-    degenerate = next(
-        (i for i in range(1, imax + 1) if any((i * phi).denominator == 1 for phi in phis)),
-        None,
-    )
-    return ok, certificate, degenerate
+    return ok, certificate
+
+
+def perturbed(a, b, m):
+    """b*(1 + eps) for E_n(a, b), with eps small enough that, for orbit sets
+    with multiplicities up to m, only exact ties move.  With a = ia/d and
+    b = ib/d, a non-integral i*phi+ = i*(ia - ib)/(n*ib) is at least
+    1/(n*ib) above an integer and moves down by less than i*eps*ia/(n*ib);
+    i*phi- likewise moves up by less than i*eps*ib/(n*ia), short of the
+    next integer.  Distinct actions differ by at least 1/d, and b*eps*j
+    with j <= (1 + a/b)*m moves one by less than eps*(ia + ib)*m/d, so no
+    two swap.  The oracles above, evaluated at the perturbed b, then price
+    the nondegenerate ellipsoid E_n(a, b(1+eps))."""
+    a, b = Fraction(a), Fraction(b)
+    ia, ib = a.numerator * b.denominator, b.numerator * a.denominator
+    return b * (1 + Fraction(1, 2 * (m + 1) * (ia + ib)))

@@ -187,6 +187,19 @@ def test_a8_index_bijectivity_and_spectrum():
     _report("A8", ok1 and ok2 and spectra and elapsed < 10, f"{elapsed:.2f}s")
 
 
+def test_a8_balls():
+    # every i*phi of a ball is an integer; read as E_n(a, a(1+eps)), the
+    # index is still a bijection and the spectrum is the ball's sequence
+    start = time.monotonic()
+    spectra = all(
+        e.spectrum_from_orbit_indices(n, a, a, 30) == list(e.ellipsoid_sequence(n, a, a, 29).values)
+        for n in range(1, 5)
+        for a in (1, Fraction(7, 4))
+    )
+    elapsed = time.monotonic() - start
+    _report("A8 (balls)", spectra and elapsed < 10, f"B_n(1), B_n(7/4), n <= 4, {elapsed:.2f}s")
+
+
 def test_a9_union_against_closed_form():
     rng = random.Random(909)
     ok = True

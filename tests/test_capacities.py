@@ -9,7 +9,6 @@ import pytest
 import echlens as e
 from echlens import paths
 from echlens.errors import (
-    DegenerateRatio,
     DeltaTooLarge,
     HomologyNotZero,
     InsufficientLength,
@@ -28,6 +27,7 @@ from helpers import (
     lattice_index,
     naive_union,
     packing_closed_form,
+    perturbed,
     pick_lattice_count,
 )
 
@@ -40,6 +40,9 @@ while len(FIBS) < 17:
     FIBS.append(FIBS[-1] + FIBS[-2])
 # the near-irrational ratios b/a of the spectrum benchmark
 SPECTRUM_RATIOS = [Fraction(FIBS[k + 1], FIBS[k]) for k in range(11, 16)]
+# bounds every multiplicity that brute_bijectivity scans in these tests, as
+# the check's INDEX_MULTIPLICITY_BUDGET bounds the check's
+BRUTE_MULTIPLICITY = 1 << 20
 
 
 def random_factor(rng, kmax):
@@ -379,7 +382,12 @@ class TestEllipsoidOrbitIndex:
         assert e.ellipsoid_orbit_index(3, 1, 2, 0, 0) == 0
 
     def test_worked_example(self):
-        assert e.ellipsoid_orbit_index(2, 1, 1, 2, 0) == 6
+        # B_2(1) read as E_2(1, 1+eps): e-^2, e+e- and e+^2 get 6, 4 and 2
+        b = perturbed(1, 1, 2)
+        for r, expected in ((0, 6), (1, 4), (2, 2)):
+            assert e.ellipsoid_orbit_index(2, 1, 1, r, 2 - r) == expected
+            assert lattice_index(2, 1, b, r, 2 - r) == brute_orbit_index(2, 1, b, r, 2 - r)
+            assert lattice_index(2, 1, b, r, 2 - r) == expected
 
     def test_full_layer_distinct_even(self):
         values = [e.ellipsoid_orbit_index(2, 1, FIB, r, 2 - r) for r in range(3)]
@@ -401,14 +409,18 @@ class TestEllipsoidOrbitIndex:
             r = rng.randint(0, 40)
             s = rng.randint(0, 40)
             s += (-(r + s)) % n
-            assert e.ellipsoid_orbit_index(n, a, b, r, s) == brute_orbit_index(n, a, b, r, s)
+            expected = brute_orbit_index(n, a, perturbed(a, b, max(r, s)), r, s)
+            assert e.ellipsoid_orbit_index(n, a, b, r, s) == expected
 
     def test_huge_multiplicity(self):
-        # phi_plus = -89/466: 2 145 922 746 full periods and a tail of 365 floors
+        # phi_plus = -89/466: 2 145 922 746 full periods and a tail of 365
+        # floors, then one less for each of the r // 466 integral i*phi_plus,
+        # which E_2(1, 233/144 (1+eps)) moves just below an integer
         r = 10**12
         k = r // 2
-        expected = 2 * k * (k + 1) + 2 * k + 2 * floor_sum_by_periods(Fraction(-89, 466), r)
-        assert expected == 309012875537291845493562
+        floors = floor_sum_by_periods(Fraction(-89, 466), r) - r // 466
+        expected = 2 * k * (k + 1) + 2 * k + 2 * floors
+        assert expected == 309012875537287553648070
         assert e.ellipsoid_orbit_index(2, 1, FIB, r, 0) == expected
 
 
@@ -485,8 +497,11 @@ class TestOrbitSetIndex:
             chain.append((0, big_m))
             count = pick_lattice_count(n, chain) if big_m else 0
             rot = e.rotation_numbers(dom)
+            # phi_plus moved down by less than 1/(q*m_plus): only its
+            # integral multiples i*phi_plus, i <= m_plus, drop below an integer
+            phi_plus = rot.phi_plus - Fraction(1, 2 * rot.phi_plus.denominator * (m_plus + 1))
             expected = 2 * count + 2 * m_plus + 2 * m_minus
-            expected += 2 * brute_floor_sum(rot.phi_plus, m_plus)
+            expected += 2 * brute_floor_sum(phi_plus, m_plus)
             expected += 2 * brute_floor_sum(rot.phi_minus, m_minus)
             orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty[n])
             assert e.orbit_set_index(dom, orbit) == expected
@@ -507,7 +522,8 @@ class TestOrbitSetIndex:
             chain.append((0, big_m))
             expected = 2 * pick_lattice_count(2, chain)
             expected += 2 * m_plus + 2 * m_minus
-            expected += 2 * floor_sum_by_periods(rot.phi_plus, m_plus)
+            # each of the m_plus // 9 integral i*phi_plus is read one lower
+            expected += 2 * (floor_sum_by_periods(rot.phi_plus, m_plus) - m_plus // 9)
             expected += 2 * floor_sum_by_periods(rot.phi_minus, m_minus)
             orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty)
             assert e.orbit_set_index(dom, orbit) == expected
@@ -524,12 +540,17 @@ class TestBijectivity:
         assert ok
 
     def test_degenerate_ratio(self):
-        with pytest.raises(DegenerateRatio):
-            e.index_bijectivity_check(2, 1, 1, 1)
+        # the ball B_2(1), where every i*phi is an integer, read as E_2(1, 1+eps)
+        ok, cert = e.index_bijectivity_check(2, 1, 1, 1)
+        assert ok
+        assert (ok, cert) == brute_bijectivity(2, 1, perturbed(1, 1, BRUTE_MULTIPLICITY), 1)
 
-    def test_degenerate_ratio_message_names_both_parameters(self):
-        with pytest.raises(DegenerateRatio, match="a=1/7, b=1000/7"):
-            e.index_bijectivity_check(2, Fraction(1, 7), Fraction(1000, 7), 2)
+    def test_degenerate_ratio_far_from_one(self):
+        # phi_minus = 999/2 is an integer at every even multiplicity
+        a, b = Fraction(1, 7), Fraction(1000, 7)
+        ok, cert = e.index_bijectivity_check(2, a, b, 2)
+        assert ok
+        assert (ok, cert) == brute_bijectivity(2, a, perturbed(a, b, BRUTE_MULTIPLICITY), 2)
 
     def test_zero_layers(self):
         ok, cert = e.index_bijectivity_check(2, 1, 1, 0)
@@ -540,8 +561,7 @@ class TestBijectivity:
         for n in range(1, 5):
             for b in SPECTRUM_RATIOS:
                 for layers in (0, 1, 3, 12 // n):
-                    ok, cert, degenerate = brute_bijectivity(n, 1, b, layers)
-                    assert degenerate is None
+                    ok, cert = brute_bijectivity(n, 1, b, layers)
                     assert ok
                     assert e.index_bijectivity_check(n, 1, b, layers) == (ok, cert)
 
@@ -556,12 +576,29 @@ class TestBijectivity:
             ratio = rng.choice(convergents)
             b = a * ratio if rng.random() < 0.5 else a / ratio
             layers = rng.randint(1, 16 // n)
-            ok, cert, degenerate = brute_bijectivity(n, a, b, layers)
-            if degenerate is not None:
-                with pytest.raises(DegenerateRatio, match=f"multiplicity {degenerate};"):
-                    e.index_bijectivity_check(n, a, b, layers)
-            else:
-                assert e.index_bijectivity_check(n, a, b, layers) == (ok, cert)
+            ok, cert = brute_bijectivity(n, a, perturbed(a, b, BRUTE_MULTIPLICITY), layers)
+            assert ok
+            assert e.index_bijectivity_check(n, a, b, layers) == (ok, cert)
+
+    def test_rational_ratios_against_lattice_count(self):
+        # balls and small-denominator ratios, where many i*phi are integers:
+        # the check holds, and every index is that of E_n(a, b(1+eps))
+        rng = random.Random(85)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            a = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            b = a * rng.choice([1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)])
+            if rng.random() < 0.5:
+                b = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            ok, cert = e.index_bijectivity_check(n, a, b, rng.randint(0, 8 // n))
+            assert ok
+            for index, (r, s) in cert:
+                assert index == lattice_index(n, a, perturbed(a, b, max(r, s)), r, s)
+            r = rng.randint(0, 12)
+            s = rng.randint(0, 12)
+            s += (-(r + s)) % n
+            expected = lattice_index(n, a, perturbed(a, b, max(r, s)), r, s)
+            assert e.ellipsoid_orbit_index(n, a, b, r, s) == expected
 
     def test_certificate_entries_are_orbit_set_indices(self):
         cases = [
@@ -579,22 +616,20 @@ class TestBijectivity:
                 assert index == e.orbit_set_index(triangle, e.OrbitSetDescriptor(r, s, gen))
 
     def test_degenerate_ratio_multiplicity(self):
-        # phi+ = -2/7 and phi- = 2/5: 5*phi- is the first integer argument
+        # phi+ = -2/7 and phi- = 2/5: the window holds e-^5, whose 5*phi- is
+        # an integer, from 4 layers on, and e+^7 (7*phi+ = -2) at 6 layers
+        b = perturbed(5, 7, BRUTE_MULTIPLICITY)
         for layers in range(7):
-            ok, cert, degenerate = brute_bijectivity(1, 5, 7, layers)
-            if degenerate is None:
-                assert e.index_bijectivity_check(1, 5, 7, layers) == (ok, cert)
-            else:
-                assert degenerate == 5
-                with pytest.raises(DegenerateRatio, match="multiplicity 5;"):
-                    e.index_bijectivity_check(1, 5, 7, layers)
+            ok, cert = brute_bijectivity(1, 5, b, layers)
+            assert ok
+            assert e.index_bijectivity_check(1, 5, 7, layers) == (ok, cert)
 
     def test_far_ratio_against_sort_and_slice(self):
         # b/a near 10^4: the certificate reaches layer 230 and the window's
         # last layer is past 10^4, far beyond the 20 layers asked for
         a, b = Fraction(1009, 1013), Fraction(70001, 7)
-        ok, cert, degenerate = brute_bijectivity(1, a, b, 20)
-        assert ok and degenerate is None
+        ok, cert = brute_bijectivity(1, a, b, 20)
+        assert ok
         assert max(r + s for _, (r, s) in cert) == 230
         assert e.index_bijectivity_check(1, a, b, 20) == (ok, cert)
 
@@ -612,6 +647,13 @@ class TestBijectivity:
         for n in (1, 2):
             actions = e.spectrum_from_orbit_indices(n, 1, FIB, 20)
             assert actions == list(e.ellipsoid_sequence(n, 1, FIB, 19).values)
+
+    def test_spectrum_reproduces_generator_at_rational_ratios(self):
+        # the generator's ties are orbit sets that the perturbation orders
+        for n in range(1, 5):
+            for a, b in ((1, 2), (2, 3), (3, 1), (1, 5)):
+                actions = e.spectrum_from_orbit_indices(n, a, b, 30)
+                assert actions == list(e.ellipsoid_sequence(n, a, b, 29).values)
 
 
 class TestEllipsoidParameters:

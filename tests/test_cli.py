@@ -5,7 +5,7 @@ import pytest
 
 from echlens import capacities, checks, cli, geometry, weights
 from echlens.domains import parse_domain_file
-from helpers import ball_closed_form
+from helpers import ball_closed_form, brute_floor_sum, lattice_index, perturbed, pick_lattice_count
 
 
 @pytest.fixture
@@ -315,11 +315,12 @@ class TestObstruct:
 
 class TestIndex:
     def test_ellipsoid(self, capsys):
+        # e+^2 on B_2(1), read as E_2(1, 1+eps), where it has the least action
         code, out, _ = run(
             capsys, ["index", "ellipsoid", "--n", "2", "--a", "1", "--b", "1", "--r", "2", "--s", "0"]
         )
         assert code == 0
-        assert out == "I = 6\n"
+        assert out == f"I = {lattice_index(2, 1, perturbed(1, 1, 2), 2, 0)}\n" == "I = 2\n"
 
     def test_orbit(self, capsys, domain_file):
         code, out, _ = run(
@@ -331,6 +332,15 @@ class TestIndex:
         )
         assert code == 0
         assert out == "I = 6\n"
+
+    def test_orbit_with_integral_phi_plus(self, capsys, domain_file):
+        # the example's phi_plus = 1 and phi_minus = 0: e+^2 on the empty
+        # generator prices the chain (2,1) (0,1), and its floors are those of
+        # phi_plus moved down by 1/6 < 1/2, that is 0 and 1, not 1 and 2
+        code, out, _ = run(capsys, ["index", "orbit", domain_file, "--m-plus", "2"])
+        expected = 2 * pick_lattice_count(2, [(2, 1), (0, 1)]) + 2 * 2
+        expected += 2 * brute_floor_sum(Fraction(5, 6), 2)
+        assert (code, out) == (0, f"I = {expected}\n") == (0, "I = 8\n")
 
     def test_bad_path_exit_2(self, capsys, domain_file):
         code, _, err = run(
@@ -386,9 +396,10 @@ class TestBijectivity:
         assert out.splitlines()[-1] == "verdict: TRUE"
 
     def test_degenerate(self, capsys):
-        code, _, err = run(capsys, ["bijectivity", "--n", "2", "--a", "1", "--b", "1", "--layers", "2"])
-        assert code == 2
-        assert "too rational" in err
+        # the ball is read as E_2(1, 1+eps), a nondegenerate ellipsoid
+        code, out, _ = run(capsys, ["bijectivity", "--n", "2", "--a", "1", "--b", "1", "--layers", "2"])
+        assert code == 0
+        assert out.splitlines()[-1] == "verdict: TRUE"
 
     def test_far_ratio_true(self, capsys):
         code, out, _ = run(
