@@ -11,15 +11,10 @@ _EXPORTS = {
     "capacities": (
         "CapacitySequence",
         "ObstructionReport",
-        "OrbitSetDescriptor",
         "capacities_via_oracle",
         "capacities_via_weights",
-        "ellipsoid_orbit_index",
         "ellipsoid_sequence",
-        "index_bijectivity_check",
         "obstruction_report",
-        "orbit_set_index",
-        "spectrum_from_orbit_indices",
         "union_sequence",
     ),
     "checks": ("CheckResult", "random_concave_domain", "run_check"),
@@ -35,8 +30,16 @@ _EXPORTS = {
         "singular_ball_capacity",
         "validate_domain",
     ),
+    "ellipsoid": (),
     "errors": ("EchLensError",),
     "geometry": ("cross", "format_rational", "in_cone", "parse_rational"),
+    "index": (
+        "OrbitSetDescriptor",
+        "ellipsoid_orbit_index",
+        "index_bijectivity_check",
+        "orbit_set_index",
+        "spectrum_from_orbit_indices",
+    ),
     "paths": (
         "ConcaveGenerator",
         "IntegralPath",

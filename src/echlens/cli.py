@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
-from . import capacities as cap
 from .errors import EchLensError, ResourceLimit
 from .geometry import format_point, format_rational, parse_rational
 
-# domains, weights, paths and checks are imported in the handlers that run
-# them, so a ball, ellipsoid or bijectivity job never compiles them
+# every other module is imported in the handlers that run it: a ball or
+# ellipsoid job compiles the generator module alone, a bijectivity job the
+# index module and what it imports, and neither compiles capacities
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,25 +60,30 @@ def _render_decimal(value, decimal: int) -> str:
     return f"~{whole}.{frac:0{decimal}d}"
 
 
-def _render_sequence(seq, fmt: str, decimal=None):
-    """Print a CapacitySequence as a table or CSV; c_k = ints[k]/scale is
-    reduced with one gcd per value, and only --decimal builds Fractions."""
+def _render_rows(ints, scale: int, fmt: str, decimal):
+    """Print c_k = ints[k]/scale for k = 0, 1, ... as a table or CSV.  Each
+    row is reduced by its own gcd and written as it comes, so `ints` may be
+    a stream that is never stored; only --decimal builds Fractions.  The
+    rows must keep CapacitySequence's invariants, c_0 = 0 <= c_1 <= ...;
+    a row that breaks them raises AssertionError."""
     write = sys.stdout.write
-    scale = seq.scale
-    if fmt == "csv":
-        write("k,numerator,denominator\n")
-        for k, v in enumerate(seq.ints):
-            g = gcd(v, scale)
-            write(f"{k},{v // g},{scale // g}\n")
-        return
-    write("k  c_k\n")
-    if decimal is not None:
-        for k, v in enumerate(seq):
-            write(f"{k}  {_render_decimal(v, decimal)}\n")
-        return
-    for k, v in enumerate(seq.ints):
+    csv = fmt == "csv"
+    write("k,numerator,denominator\n" if csv else "k  c_k\n")
+    prev = 0
+    for k, v in enumerate(ints):
+        if v < prev or (k == 0 and v != 0):
+            raise AssertionError(f"c_{k} = {Fraction(v, scale)} breaks 0 = c_0 <= c_1 <= ...")
+        prev = v
+        if decimal is not None:
+            write(f"{k}  {_render_decimal(Fraction(v, scale), decimal)}\n")
+            continue
         g = gcd(v, scale)
-        write(f"{k}  {v // g}\n" if g == scale else f"{k}  {v // g}/{scale // g}\n")
+        if csv:
+            write(f"{k},{v // g},{scale // g}\n")
+        elif g == scale:
+            write(f"{k}  {v // g}\n")
+        else:
+            write(f"{k}  {v // g}/{scale // g}\n")
 
 
 def _add_format_flags(parser):
@@ -171,19 +177,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_ellipsoid(args) -> int:
-    seq = cap.ellipsoid_sequence(args.n, args.a, args.b, args.kmax)
-    _render_sequence(seq, args.format, args.decimal)
+def _stream_ellipsoid(args, a, b) -> int:
+    """The rows of E_n(a, b) straight from the generator heap: a written
+    row is not kept, so memory is the heap's, not kmax's."""
+    from .ellipsoid import ellipsoid_ints, ellipsoid_values
+
+    ia, ib, scale = ellipsoid_ints(args.n, a, b)
+    rows = islice(ellipsoid_values(args.n, ia, ib), args.kmax + 1)
+    _render_rows(rows, scale, args.format, args.decimal)
     return EXIT_OK
+
+
+def cmd_ellipsoid(args) -> int:
+    return _stream_ellipsoid(args, args.a, args.b)
 
 
 def cmd_ball(args) -> int:
-    seq = cap.ellipsoid_sequence(args.n, args.a, args.a, args.kmax)
-    _render_sequence(seq, args.format, args.decimal)
-    return EXIT_OK
+    return _stream_ellipsoid(args, args.a, args.a)
 
 
 def cmd_domain(args) -> int:
+    from . import capacities as cap
+
     domain = _load_domain(args.file)
     results = {}
     if args.method in ("weights", "both"):
@@ -194,7 +209,8 @@ def cmd_domain(args) -> int:
         if name in results:
             if args.method == "both":
                 print(f"[{name}]")
-            _render_sequence(results[name], args.format, args.decimal)
+            seq = results[name]
+            _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     if args.method == "both":
         diffs = [
             k
@@ -247,13 +263,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from .capacities import capacities_via_oracle
+
     domain = _load_domain(args.file)
-    seq = cap.capacities_via_oracle(domain, args.kmax, delta=args.delta)
-    _render_sequence(seq, args.format, args.decimal)
+    seq = capacities_via_oracle(domain, args.kmax, delta=args.delta)
+    _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     return EXIT_OK
 
 
 def cmd_obstruct(args) -> int:
+    from . import capacities as cap
+
     source = cap.capacities_via_weights(_load_domain(args.source), args.kmax)
     target = cap.capacities_via_weights(_load_domain(args.target), args.kmax)
     report = cap.obstruction_report(source, target, kmax=args.kmax)
@@ -267,8 +287,10 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_index(args) -> int:
+    from . import index as idx
+
     if args.index_kind == "ellipsoid":
-        value = cap.ellipsoid_orbit_index(args.n, args.a, args.b, args.r, args.s)
+        value = idx.ellipsoid_orbit_index(args.n, args.a, args.b, args.r, args.s)
     else:
         from . import paths as pth
 
@@ -278,16 +300,18 @@ def cmd_index(args) -> int:
         else:
             path, labels = pth.parse_path_text(domain.n, args.path)
             gen = pth.ConcaveGenerator(path=path, labels=labels or ("e",) * len(path.edges))
-        orbit = cap.OrbitSetDescriptor(
+        orbit = idx.OrbitSetDescriptor(
             m_plus=args.m_plus, m_minus=args.m_minus, generator=gen
         )
-        value = cap.orbit_set_index(domain, orbit)
+        value = idx.orbit_set_index(domain, orbit)
     print(f"I = {value}")
     return EXIT_OK
 
 
 def cmd_bijectivity(args) -> int:
-    ok, certificate = cap.index_bijectivity_check(args.n, args.a, args.b, args.layers)
+    from .index import index_bijectivity_check
+
+    ok, certificate = index_bijectivity_check(args.n, args.a, args.b, args.layers)
     write = sys.stdout.write
     write("index  r  s\n")
     for index, (r, s) in certificate:

@@ -250,24 +250,23 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
 # Text form (CLI debugging output)
 
 
-_PATH_RE = re.compile(
-    r"^start=\((-?\d+),(-?\d+)\);\s*edges=\[(.*?)\](?:;\s*labels=\[(.*?)\])?$"
-)
+# pattern strings, which re compiles and caches on first use: only
+# parse_path_text (`index orbit --path`) reads them
+_PATH = r"^start=\((-?\d+),(-?\d+)\);\s*edges=\[(.*?)\](?:;\s*labels=\[(.*?)\])?$"
 _EDGE = r"\((-?\d+),(-?\d+)\)x(\d+)"
-_EDGE_RE = re.compile(_EDGE)
-_EDGE_LIST_RE = re.compile(rf"\s*(?:{_EDGE}(?:\s*,\s*{_EDGE})*)?\s*")
+_EDGE_LIST = rf"\s*(?:{_EDGE}(?:\s*,\s*{_EDGE})*)?\s*"
 
 
 def parse_path_text(n: int, text: str):
     """Inverse of path_to_text: returns (IntegralPath, labels-or-None)."""
-    m = _PATH_RE.match(text.strip())
+    m = re.match(_PATH, text.strip())
     if m is None:
         raise PathError(f"cannot parse path text {text!r}")
     start = (int(m.group(1)), int(m.group(2)))
     body = m.group(3)
-    if _EDGE_LIST_RE.fullmatch(body) is None:
+    if re.fullmatch(_EDGE_LIST, body) is None:
         raise PathError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
-    edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in _EDGE_RE.findall(body))
+    edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in re.findall(_EDGE, body))
     labels, text = None, m.group(4)
     if text is not None:
         # an empty token is an error; only `labels=[]` lists no labels

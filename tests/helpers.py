@@ -2,10 +2,18 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, gcd
+from math import floor, gcd, lcm
 
+from echlens.capacities import CapacitySequence
 from echlens.domains import boundary_height
 from echlens.geometry import in_cone
+
+
+def sequence_of(values):
+    """The CapacitySequence of the exact rationals c_0..c_kmax."""
+    vals = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in vals))
+    return CapacitySequence(tuple(v.numerator * (scale // v.denominator) for v in vals), scale)
 
 
 def brute_combination_sequence(n, a, b, kmax):

@@ -29,6 +29,7 @@ from helpers import (
     packing_closed_form,
     perturbed,
     pick_lattice_count,
+    sequence_of,
 )
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
@@ -61,7 +62,7 @@ def random_factor(rng, kmax):
     for _ in range(length):
         step = Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 5, 7]))
         vals.append(vals[-1] + (0 if rng.random() < 0.5 else step))
-    return e.CapacitySequence.of(vals)
+    return sequence_of(vals)
 
 
 class TestEllipsoidSequence:
@@ -678,7 +679,7 @@ class TestEllipsoidParameters:
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
-            "from echlens.capacities import spectrum_from_orbit_indices\n"
+            "from echlens.index import spectrum_from_orbit_indices\n"
             "from echlens.errors import NonPositivePeriod\n"
             "try:\n"
             f"    spectrum_from_orbit_indices({n}, 1, Fraction(233, 144), 5)\n"
@@ -708,8 +709,8 @@ class TestClosedFormUnion:
 
 
 class TestCapacitySequenceInvariants:
-    # each invariant is checked on ints and on exact rationals through `of`
-    BUILDS = (e.CapacitySequence, e.CapacitySequence.of)
+    # each invariant is checked on ints and on exact rationals through sequence_of
+    BUILDS = (e.CapacitySequence, sequence_of)
 
     def test_rejects_nonzero_start(self):
         for build in self.BUILDS:
@@ -721,7 +722,7 @@ class TestCapacitySequenceInvariants:
             with pytest.raises(ValueError):
                 build((0, 2, 1))
         with pytest.raises(ValueError):
-            e.CapacitySequence.of((0, Fraction(1, 2), Fraction(1, 3)))
+            sequence_of((0, Fraction(1, 2), Fraction(1, 3)))
 
     def test_rejects_empty(self):
         for build in self.BUILDS:
@@ -764,7 +765,7 @@ class TestStoredForm:
         rng = random.Random(6)
         for _ in range(40):
             seq = random_factor(rng, rng.randint(0, 30))
-            again = e.CapacitySequence.of(seq.values)
+            again = sequence_of(seq.values)
             assert again == seq
             assert hash(again) == hash(seq)
 

@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from echlens import capacities, checks, cli, geometry, weights
+from echlens import capacities, checks, cli, ellipsoid, geometry, weights
 from echlens.domains import parse_domain_file
 from helpers import ball_closed_form, brute_floor_sum, lattice_index, perturbed, pick_lattice_count
 
@@ -140,6 +143,77 @@ class TestBall:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --a: not a rational literal with q > 0: '{text}'" in err
+
+
+# (n, a, b): balls with and without a common factor over their scale, and
+# near-irrational ratios with a = 1 and a = 5/3
+STREAMED = [
+    (n, Fraction(a), Fraction(b))
+    for n in range(1, 5)
+    for a, b in (("7/4", "7/4"), ("1/2", "1/2"), ("1", "233/144"), ("5/3", "377/233"))
+]
+
+
+class TestStreamedRows:
+    @pytest.mark.parametrize("kmax", [0, 3000])
+    @pytest.mark.parametrize(
+        "flags, fmt, decimal",
+        [([], "table", None), (["--format", "csv"], "csv", None), (["--decimal", "6"], "table", 6)],
+        ids=["table", "csv", "decimal"],
+    )
+    def test_stream_equals_stored_sequence(self, capsys, kmax, flags, fmt, decimal):
+        for n, a, b in STREAMED:
+            if a == b:
+                argv = ["ball", "--n", str(n), "--a", str(a)]
+            else:
+                argv = ["ellipsoid", "--n", str(n), "--a", str(a), "--b", str(b)]
+            code, out, _ = run(capsys, argv + ["--kmax", str(kmax), *flags])
+            seq = capacities.ellipsoid_sequence(n, a, b, kmax)
+            cli._render_rows(seq.ints, seq.scale, fmt, decimal)
+            assert (code, out) == (0, capsys.readouterr().out)
+            assert out.count("\n") == kmax + 2
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([0, 2, 1, 3], "c_2 = 1/2 breaks"), ([1, 2, 3, 4], "c_0 = 1/2 breaks")],
+        ids=["decreasing", "nonzero-start"],
+    )
+    def test_broken_invariant_exits_4(self, capsys, monkeypatch, rows, message):
+        monkeypatch.setattr(ellipsoid, "ellipsoid_values", lambda n, ia, ib: iter(rows))
+        code, _, err = run(capsys, ["ellipsoid", "--n", "1", "--a", "1/2", "--b", "1", "--kmax", "3"])
+        assert code == 4
+        assert err.startswith("internal error: ") and message in err
+
+
+# Prints the peak RSS in kB of one `echlens` job.  The kernel counts into a
+# child's peak the memory of the process that spawned it, so the job is
+# spawned from this bare interpreter, smaller than any job, not from pytest.
+_PEAK_RSS = """
+import os, sys
+out = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "echlens.cli", *sys.argv[1:]],
+                     os.environ, file_actions=out)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, kb = map(int, done.stdout.split())
+    assert code == 0
+    return kb
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_streamed_rows_peak_near_a_no_work_job():
+    # the whole sequence, stored before the first row, peaked 11 MB higher
+    idle = _peak_rss_kb(["ball", "--a", "1", "--kmax", "0"])
+    busy = _peak_rss_kb(["ellipsoid", "--n", "3", "--a", "1", "--b", "233/144", "--kmax", "200000"])
+    assert busy - idle <= 2048
 
 
 class TestDomain:

@@ -14,7 +14,10 @@ import echlens
 from echlens.capacities import MONOTONICITY_NOTE
 from echlens.record import Record
 
-SUBMODULES = ["capacities", "checks", "domains", "errors", "geometry", "paths", "weights"]
+SUBMODULES = [
+    "capacities", "checks", "domains", "ellipsoid", "errors", "geometry", "index", "paths",
+    "weights",
+]
 EXPORTS = [
     "CapacitySequence", "CheckResult", "ConcaveDomain", "ConcaveGenerator", "EchLensError",
     "IntegralPath", "ObstructionReport", "OrbitSetDescriptor", "RotationNumbers",
@@ -145,6 +148,18 @@ print(" ".join(sorted(set(sys.modules) - base)))
 """
 
 
+# every job loads no domain, weight, path or check code, and neither
+# dataclasses nor inspect
+_NEVER = {"dataclasses", "inspect", "echlens.paths", "echlens.domains", "echlens.weights",
+          "echlens.checks"}
+# subcommand -> (the module it runs, the library modules it must not load)
+_JOB_MODULES = {
+    "ball": ("echlens.ellipsoid", {"echlens.capacities", "echlens.index"}),
+    "ellipsoid": ("echlens.ellipsoid", {"echlens.capacities", "echlens.index"}),
+    "bijectivity": ("echlens.index", {"echlens.capacities"}),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -160,7 +175,6 @@ def test_cold_job_loads_only_what_it_runs(argv):
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = set(result.stdout.splitlines()[-1].split())
-    assert "echlens.capacities" in loaded
-    unwanted = {"dataclasses", "inspect", "echlens.paths", "echlens.domains",
-                "echlens.weights", "echlens.checks"}
-    assert not loaded & unwanted
+    runs, unwanted = _JOB_MODULES[argv[0]]
+    assert runs in loaded
+    assert not loaded & (_NEVER | unwanted)
