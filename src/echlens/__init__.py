@@ -17,6 +17,7 @@ _EXPORTS = {
         "obstruction_report",
         "union_sequence",
     ),
+    "bijectivity": ("index_bijectivity_check", "spectrum_from_orbit_indices"),
     "checks": ("CheckResult", "random_concave_domain", "run_check"),
     "domains": (
         "ConcaveDomain",
@@ -33,13 +34,7 @@ _EXPORTS = {
     "ellipsoid": (),
     "errors": ("EchLensError",),
     "geometry": ("cross", "format_rational", "in_cone", "parse_rational"),
-    "index": (
-        "OrbitSetDescriptor",
-        "ellipsoid_orbit_index",
-        "index_bijectivity_check",
-        "orbit_set_index",
-        "spectrum_from_orbit_indices",
-    ),
+    "index": ("OrbitSetDescriptor", "ellipsoid_orbit_index", "orbit_set_index"),
     "paths": (
         "ConcaveGenerator",
         "IntegralPath",

@@ -679,7 +679,7 @@ class TestEllipsoidParameters:
         script = (
             "import sys\n"
             "from fractions import Fraction\n"
-            "from echlens.index import spectrum_from_orbit_indices\n"
+            "from echlens.bijectivity import spectrum_from_orbit_indices\n"
             "from echlens.errors import NonPositivePeriod\n"
             "try:\n"
             f"    spectrum_from_orbit_indices({n}, 1, Fraction(233, 144), 5)\n"

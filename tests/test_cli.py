@@ -500,3 +500,57 @@ class TestDeterminism:
             assert code == 0
             runs.append(out.encode() + err.encode())
         assert runs[0] == runs[1]
+
+
+COMMANDS = ["ellipsoid", "ball", "domain", "weights", "check", "blowup", "obstruct", "index",
+            "bijectivity"]
+USAGE = [
+    ["-h"],
+    ["-h", "ball"],
+    *([command, "--help"] for command in COMMANDS),
+    ["index", "orbit", "--help"],
+    [],
+    ["bogus"],
+    ["index"],
+    ["ball", "--a", "1", "--bogus"],
+    ["ball", "--a", "1", "extra"],
+    ["domain", "F", "--bogus"],
+    ["ball", "--a", "1", "--kmax", "x"],
+    ["ball", "--a", "1", "--decimal", "2", "--format", "csv"],
+    ["domain", "F", "--decimal", "2", "--format", "csv"],
+]
+
+
+def _parse_in_full(argv):
+    """main's parsing and its --decimal check, on the parser of every command."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "decimal", None) is not None and args.format == "csv":
+        parser.error("--decimal approximates the table format; --format csv is exact")
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestUsage:
+    # main builds the named command's parser alone; its help, its usage
+    # errors and those of the top-level parser match the full parser's
+    @pytest.mark.parametrize("argv", USAGE, ids=lambda argv: " ".join(argv) or "no-command")
+    def test_matches_the_full_parser(self, capsys, argv):
+        expected = _exit(capsys, _parse_in_full, argv)
+        assert _exit(capsys, cli.main, argv) == expected
+        code, out, err = expected
+        assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+    def test_top_level_errors_list_every_command(self, capsys):
+        _, _, err = _exit(capsys, cli.main, ["ball", "--a", "1", "extra"])
+        assert "{" + ",".join(COMMANDS) + "}" in err
+        assert err.endswith("echlens: error: unrecognized arguments: extra\n")
+
+    def test_argument_errors_name_the_type(self, capsys):
+        _, _, err = _exit(capsys, cli.main, ["ball", "--a", "1", "--kmax", "x"])
+        assert err.endswith("echlens ball: error: argument --kmax: invalid _nonneg_int value: 'x'\n")

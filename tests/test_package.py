@@ -15,8 +15,8 @@ from echlens.capacities import MONOTONICITY_NOTE
 from echlens.record import Record
 
 SUBMODULES = [
-    "capacities", "checks", "domains", "ellipsoid", "errors", "geometry", "index", "paths",
-    "weights",
+    "bijectivity", "capacities", "checks", "domains", "ellipsoid", "errors", "geometry",
+    "index", "paths", "weights",
 ]
 EXPORTS = [
     "CapacitySequence", "CheckResult", "ConcaveDomain", "ConcaveGenerator", "EchLensError",
@@ -148,15 +148,16 @@ print(" ".join(sorted(set(sys.modules) - base)))
 """
 
 
-# every job loads no domain, weight, path or check code, and neither
-# dataclasses nor inspect
+# every job loads no domain, weight, path or check code, neither the capacity
+# routes, the index formulas nor the domain commands, and neither dataclasses
+# nor inspect
 _NEVER = {"dataclasses", "inspect", "echlens.paths", "echlens.domains", "echlens.weights",
-          "echlens.checks"}
+          "echlens.checks", "echlens.capacities", "echlens.index", "echlens.domain_cli"}
 # subcommand -> (the module it runs, the library modules it must not load)
 _JOB_MODULES = {
-    "ball": ("echlens.ellipsoid", {"echlens.capacities", "echlens.index"}),
-    "ellipsoid": ("echlens.ellipsoid", {"echlens.capacities", "echlens.index"}),
-    "bijectivity": ("echlens.index", {"echlens.capacities"}),
+    "ball": ("echlens.ellipsoid", {"echlens.bijectivity"}),
+    "ellipsoid": ("echlens.ellipsoid", {"echlens.bijectivity"}),
+    "bijectivity": ("echlens.bijectivity", set()),
 }
 
 
@@ -178,3 +179,4 @@ def test_cold_job_loads_only_what_it_runs(argv):
     runs, unwanted = _JOB_MODULES[argv[0]]
     assert runs in loaded
     assert not loaded & (_NEVER | unwanted)
+
