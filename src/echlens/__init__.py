@@ -21,12 +21,10 @@ _EXPORTS = {
     "checks": ("CheckResult", "random_concave_domain", "run_check"),
     "domains": (
         "ConcaveDomain",
-        "RotationNumbers",
         "boundary_height",
         "domain_area",
         "omega_length_edge",
         "parse_domain_file",
-        "rotation_numbers",
         "scale_domain",
         "singular_ball_capacity",
         "validate_domain",
@@ -34,21 +32,22 @@ _EXPORTS = {
     "ellipsoid": (),
     "errors": ("EchLensError",),
     "geometry": ("cross", "format_rational", "in_cone", "parse_rational"),
-    "index": ("OrbitSetDescriptor", "ellipsoid_orbit_index", "orbit_set_index"),
-    "paths": (
+    "index": (
         "ConcaveGenerator",
-        "IntegralPath",
+        "OrbitSetDescriptor",
+        "RotationNumbers",
         "coround_corner",
-        "empty_path",
-        "enumerate_paths_up_to",
+        "ellipsoid_orbit_index",
         "generator_index",
         "homology_class",
-        "lattice_count",
         "make_path",
+        "orbit_set_index",
         "parse_path_text",
         "path_from_vertices",
         "path_to_text",
+        "rotation_numbers",
     ),
+    "paths": ("IntegralPath", "empty_path", "enumerate_paths_up_to", "lattice_count"),
     "weights": ("WeightExpansion", "singular_weight_expansion", "split_domain"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -165,17 +165,17 @@ def cmd_obstruct(args) -> int:
 
 def cmd_index(args) -> int:
     from . import index as idx
-    from . import paths as pth
+    from .paths import empty_path
 
     if args.index_kind == "ellipsoid":
         value = idx.ellipsoid_orbit_index(args.n, args.a, args.b, args.r, args.s)
     else:
         domain = _load_domain(args.file)
         if args.path is None:
-            gen = pth.ConcaveGenerator(path=pth.empty_path(domain.n), labels=())
+            gen = idx.ConcaveGenerator(path=empty_path(domain.n), labels=())
         else:
-            path, labels = pth.parse_path_text(domain.n, args.path)
-            gen = pth.ConcaveGenerator(path=path, labels=labels or ("e",) * len(path.edges))
+            path, labels = idx.parse_path_text(domain.n, args.path)
+            gen = idx.ConcaveGenerator(path=path, labels=labels or ("e",) * len(path.edges))
         orbit = idx.OrbitSetDescriptor(
             m_plus=args.m_plus, m_minus=args.m_minus, generator=gen
         )

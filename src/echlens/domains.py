@@ -1,10 +1,13 @@
 """Concave toric domains over the cone V_n and the length of lattice edges.
 
 A domain is described by the vertex chain of its upper boundary, traversed
-from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  The length
-of a leftward lattice edge v is min_p cross(p, v) over boundary vertices p;
-this min-formula is the operational form of the supporting-line definition
-and fixes every sign convention downstream.
+from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  This
+module validates, parses, scales and measures such chains: boundary height,
+area, singular ball capacity and edge length.  The length of a leftward
+lattice edge v is min_p cross(p, v) over boundary vertices p; this
+min-formula is the operational form of the supporting-line definition and
+fixes every sign convention downstream.  The rotation numbers of a domain's
+exceptional orbits serve only the index formulas, in index.py.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from fractions import Fraction
 from . import geometry as geo
 from .errors import (
     ComplementNotConvex,
-    DegenerateEdge,
     EmptyBoundary,
     EndpointNotOnRay,
     NonPositiveScale,
@@ -34,10 +36,6 @@ class ConcaveDomain(Record):
     def edge_vectors(self):
         v = self.vertices
         return [geo.vec_sub(v[i + 1], v[i]) for i in range(len(v) - 1)]
-
-
-class RotationNumbers(Record):
-    __slots__ = ("phi_plus", "phi_minus")  # Fractions
 
 
 def validate_domain(n: int, vertices) -> ConcaveDomain:
@@ -97,22 +95,6 @@ def scale_domain(domain: ConcaveDomain, r) -> ConcaveDomain:
         raise NonPositiveScale(f"scale factor must be positive, got {r}")
     return ConcaveDomain(
         n=domain.n, vertices=tuple((r * x, r * y) for x, y in domain.vertices)
-    )
-
-
-def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
-    """Rotation numbers of the exceptional orbits, from the end edges: on the
-    triangle of E_n(a, b), (a - b)/(n*b) and (b - a)/(n*a)."""
-    edges = domain.edge_vectors()
-    first, last = edges[0], edges[-1]
-    denom_plus = geo.cross(first, (domain.n, 1))
-    if denom_plus == 0:
-        raise DegenerateEdge("first boundary edge runs along the (n,1)-ray")
-    if last[0] == 0:
-        raise DegenerateEdge("last boundary edge is vertical")
-    return RotationNumbers(
-        phi_plus=Fraction(first[1], 1) / denom_plus,
-        phi_minus=Fraction(-last[1], 1) / last[0],
     )
 
 

@@ -1,24 +1,21 @@
-"""Concave integral lattice paths in V_n.
+"""Concave integral lattice paths in V_n and their enumeration.
 
 A path runs from a lattice point M*(n,1) on the ray to a lattice point on the
 y-axis, with leftward primitive edge directions of strictly increasing slope.
-Its vertices are exactly a lattice concave chain, so a path given by a caller
-is validated as a domain boundary by `domains.validate_domain`.
-The enclosed lattice count L_n, the enumeration of all paths up to a count
-(one cached search per n, in which each column's heights run from the slope
-bound to the first chain that cannot close within the count), corner
-corounding, homology classes, and the combinatorial index of labeled
-generators all live here.
+This module holds what the oracle route runs: the path record, the enclosed
+lattice count L_n, and the enumeration of all paths up to a count (one cached
+search per n, in which each column's heights run from the slope bound to the
+first chain that cannot close within the count).  Paths given by a caller,
+corner corounding, homology classes, the combinatorial index of labeled
+generators and the path text form serve the index formulas, in index.py.
 """
 
 from __future__ import annotations
 
-import re
-from math import ceil, gcd
+from math import gcd
 
 from . import geometry as geo
-from .domains import boundary_height, validate_domain
-from .errors import DomainError, InvalidVertex, PathError, ResourceLimit, ZeroEdge
+from .errors import ResourceLimit
 from .record import Record, _set
 
 
@@ -42,53 +39,8 @@ class IntegralPath(Record):
         return out
 
 
-class ConcaveGenerator(Record):
-    __slots__ = ("path", "labels")  # labels: one 'e'/'h' per distinct edge direction
-
-
 def empty_path(n: int) -> IntegralPath:
     return IntegralPath(n=n, start=(0, 0), edges=())
-
-
-def _boundary(path: IntegralPath):
-    """The path's vertices as a validated domain boundary chain in V_n."""
-    try:
-        return validate_domain(path.n, path.vertices())
-    except DomainError as exc:
-        raise PathError(str(exc)) from exc
-
-
-def make_path(n: int, start, edges) -> IntegralPath:
-    """The empty path at the origin, or a path with primitive directions and
-    positive multiplicities whose vertices validate_domain accepts as a
-    boundary chain of V_n (so it starts at M*(n,1) with M > 0)."""
-    if n < 1:
-        raise PathError(f"n must be positive, got {n}")
-    for d, m in edges:
-        if not geo.is_primitive(d):
-            raise PathError(f"direction {geo.format_point(d)} is not primitive")
-        if m < 1:
-            raise PathError(f"multiplicity {m} must be positive")
-    path = IntegralPath(n=n, start=tuple(start), edges=tuple(edges))
-    if path != empty_path(n):
-        _boundary(path)
-    return path
-
-
-def path_from_vertices(n: int, verts) -> IntegralPath:
-    """Build a path from a chain of lattice vertices, collapsing to primitive edges."""
-    edges = []
-    for u, v in zip(verts, verts[1:]):
-        dx, dy = v[0] - u[0], v[1] - u[1]
-        if (dx, dy) == (0, 0):
-            raise ZeroEdge("repeated vertex in chain")
-        g = gcd(abs(dx), abs(dy))
-        d = (dx // g, dy // g)
-        if edges and edges[-1][0] == d:
-            edges[-1] = (d, edges[-1][1] + g)
-        else:
-            edges.append((d, g))
-    return make_path(n, verts[0] if verts else (0, 0), tuple(edges))
 
 
 def _edge_count(n: int, x1, y1, x2, y2) -> int:
@@ -110,25 +62,15 @@ def lattice_count(path: IntegralPath) -> int:
     return sum(_edge_count(path.n, *u, *v) for u, v in zip(verts, verts[1:]))
 
 
-def homology_class(w, n: int):
-    """Unique (l, k1, k2) with 0 <= l < n and w + l*(-1,0) = k1*(n,1) + k2*(0,1)."""
-    l = w[0] % n
-    k1 = (w[0] - l) // n
-    k2 = w[1] - k1
-    return l, k1, k2
-
-
-def generator_index(gen: ConcaveGenerator) -> int:
-    """Combinatorial index 2*L_n + (number of hyperbolic labels)."""
-    return 2 * lattice_count(gen.path) + gen.labels.count("h")
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
 
 _ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
 PATH_BUDGET = 1 << 17  # paths per enumeration; every n >= 24 has 109 016 with L_n <= 24
+# columns scanned per enumeration, which grow with n where paths do not:
+# (100, 24) scans 501 570 of them, n = 10**9 at kmax 1 a billion
+COLUMN_BUDGET = 1 << 21
 
 
 def _completion_bound(n: int, x2, y2, dx, dy) -> int:
@@ -152,14 +94,21 @@ def _enumerate_all(n: int, kmax: int):
     the edge's line upward about the previous vertex, so the count and the
     bound both only grow with the height, and each column's heights run from
     the slope bound to the first dead chain.  Building more than
-    PATH_BUDGET paths raises ResourceLimit.
+    PATH_BUDGET paths, or scanning more than COLUMN_BUDGET columns (each
+    call scans the x1 columns left of its vertex), raises ResourceLimit.
     """
     buckets = {k: [] for k in range(kmax + 1)}
     buckets[0].append(empty_path(n))
     found = 1
+    columns = 0
 
     def extend(start, x1, y1, edges, count, px, py):
-        nonlocal found
+        nonlocal found, columns
+        columns += x1
+        if columns > COLUMN_BUDGET:
+            raise ResourceLimit(
+                f"n={n}, kmax={kmax}: more columns than the budget of {COLUMN_BUDGET}"
+            )
         for x2 in range(x1 - 1, -1, -1):
             y2 = y1 + (py * (x2 - x1)) // px + 1
             while True:
@@ -188,99 +137,11 @@ def _enumerate_all(n: int, kmax: int):
 def enumerate_paths_up_to(n: int, kmax: int):
     """Buckets {k: paths with L_n = k} for all k <= kmax, in the enumeration's
     depth-first order (the same for every kmax), read from one cached
-    enumeration per n; ResourceLimit past PATH_BUDGET paths, caching nothing."""
+    enumeration per n; ResourceLimit past PATH_BUDGET paths or COLUMN_BUDGET
+    columns, caching nothing."""
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     cached = _ENUM_CACHE.get(n)
     if cached is None or len(cached) <= kmax:
         cached = _ENUM_CACHE[n] = _enumerate_all(n, kmax)
     return {k: cached[k] for k in range(kmax + 1)}
-
-
-# ---------------------------------------------------------------------------
-# Corounding the corner
-
-
-def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
-    """Replace the path by the hull boundary of its upper lattice region minus
-    the addressed corner.
-
-    The result never has larger length and never has a smaller L_n than the
-    input; if the corner removal changes nothing the input is returned.
-    """
-    verts = path.vertices()
-    if not 1 <= vertex_index <= len(verts) - 2:
-        raise InvalidVertex(f"vertex index {vertex_index} is not an interior vertex")
-    corner = verts[vertex_index]
-    n = path.n
-    sx = path.start[0]
-    boundary = _boundary(path)
-
-    # Per-column lowest lattice point of the upper region, skipping the corner;
-    # plus ray columns beyond the start so the hull rides the (n,1)-direction.
-    candidates = []
-    for c in range(0, sx + 1):
-        ymin = ceil(boundary_height(boundary, c))
-        if (c, ymin) == corner:
-            ymin += 1
-        candidates.append((c, ymin))
-    for c in range(sx + 1, sx + 2 * n + 1):
-        candidates.append((c, -(-c // n)))
-
-    # lower convex hull, left to right
-    hull = []
-    for pt in candidates:
-        while len(hull) >= 2 and geo.cross(
-            (hull[-1][0] - hull[-2][0], hull[-1][1] - hull[-2][1]),
-            (pt[0] - hull[-1][0], pt[1] - hull[-1][1]),
-        ) <= 0:
-            hull.pop()
-        hull.append(pt)
-    chain = [pt for pt in hull if pt[0] <= sx]
-    if not chain or chain[-1] != path.start:
-        chain = [pt for pt in chain if pt[0] < sx] + [path.start]
-    chain.reverse()  # traversal from the ray to the y-axis
-    new_path = path_from_vertices(n, chain)
-    if new_path == path:
-        return path
-    return new_path
-
-
-# ---------------------------------------------------------------------------
-# Text form (CLI debugging output)
-
-
-# pattern strings, which re compiles and caches on first use: only
-# parse_path_text (`index orbit --path`) reads them
-_PATH = r"^start=\((-?\d+),(-?\d+)\);\s*edges=\[(.*?)\](?:;\s*labels=\[(.*?)\])?$"
-_EDGE = r"\((-?\d+),(-?\d+)\)x(\d+)"
-_EDGE_LIST = rf"\s*(?:{_EDGE}(?:\s*,\s*{_EDGE})*)?\s*"
-
-
-def parse_path_text(n: int, text: str):
-    """Inverse of path_to_text: returns (IntegralPath, labels-or-None)."""
-    m = re.match(_PATH, text.strip())
-    if m is None:
-        raise PathError(f"cannot parse path text {text!r}")
-    start = (int(m.group(1)), int(m.group(2)))
-    body = m.group(3)
-    if re.fullmatch(_EDGE_LIST, body) is None:
-        raise PathError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
-    edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in re.findall(_EDGE, body))
-    labels, text = None, m.group(4)
-    if text is not None:
-        # an empty token is an error; only `labels=[]` lists no labels
-        labels = tuple(tok.strip() for tok in text.split(",")) if text.strip() else ()
-        if any(lab not in ("e", "h") for lab in labels):
-            raise PathError(f"labels must be 'e' or 'h', got [{text}]")
-        if len(labels) != len(edges):
-            raise PathError("need exactly one label per distinct edge direction")
-    return make_path(n, start, edges), labels
-
-
-def path_to_text(path: IntegralPath, labels=None) -> str:
-    edges = ", ".join(f"({d[0]},{d[1]})x{m}" for d, m in path.edges)
-    text = f"start=({path.start[0]},{path.start[1]}); edges=[{edges}]"
-    if labels is not None:
-        text += "; labels=[" + ",".join(labels) + "]"
-    return text

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -310,6 +311,16 @@ class TestOracleRoute:
         with pytest.raises(ResourceLimit):
             e.capacities_via_oracle(B21, 9)
         assert len(paths._ENUM_CACHE[2]) == 9
+
+    def test_column_budget_refuses_a_wide_cone_at_once(self, monkeypatch):
+        # two paths, but a billion columns left of the start (10**9, 1)
+        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
+        wide = e.validate_domain(10**9, [(10**9, 1), (0, 1)])
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match=r"n=1000000000, kmax=1: .*columns"):
+            e.capacities_via_oracle(wide, 1)
+        assert time.perf_counter() - start < 1
+        assert paths._ENUM_CACHE == {}
 
 
 class TestBlowup:

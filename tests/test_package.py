@@ -48,6 +48,16 @@ class TestSurface:
             assert value.__module__.startswith("echlens.")
             assert getattr(import_module(value.__module__), name) is value
 
+    def test_each_export_is_defined_once_in_its_submodule(self):
+        # a copy left behind in another submodule would be a second definition
+        modules = {module: import_module(f"echlens.{module}") for module in echlens._EXPORTS}
+        for module, names in echlens._EXPORTS.items():
+            for name in names:
+                value = getattr(modules[module], name)
+                assert value.__module__ == f"echlens.{module}", name
+                for other in modules.values():
+                    assert getattr(other, name, value) is value, (other.__name__, name)
+
     def test_star_import(self):
         namespace = {}
         exec("from echlens import *", namespace)
@@ -148,35 +158,43 @@ print(" ".join(sorted(set(sys.modules) - base)))
 """
 
 
-# every job loads no domain, weight, path or check code, neither the capacity
-# routes, the index formulas nor the domain commands, and neither dataclasses
-# nor inspect
-_NEVER = {"dataclasses", "inspect", "echlens.paths", "echlens.domains", "echlens.weights",
-          "echlens.checks", "echlens.capacities", "echlens.index", "echlens.domain_cli"}
-# subcommand -> (the module it runs, the library modules it must not load)
-_JOB_MODULES = {
-    "ball": ("echlens.ellipsoid", {"echlens.bijectivity"}),
-    "ellipsoid": ("echlens.ellipsoid", {"echlens.bijectivity"}),
-    "bijectivity": ("echlens.bijectivity", set()),
-}
+_DOMAIN = "n = 2\nvertices = (6,3) (3,2) (0,2)\n"
+# an E_n(a, b) job loads no domain, weight, path or check code, neither the
+# capacity routes, the index formulas nor the domain commands
+_SPECTRUM_NEVER = {"echlens.paths", "echlens.domains", "echlens.weights", "echlens.checks",
+                   "echlens.capacities", "echlens.index", "echlens.domain_cli"}
+# (argv, the module the job runs, the library modules it must not load), where
+# {dom} is a domain file; no job loads dataclasses or inspect
+_JOBS = [
+    (["ball", "--a", "1", "--kmax", "0"],
+     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
+    (["ellipsoid", "--n", "2", "--a", "1", "--b", "3/2", "--kmax", "2"],
+     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
+    (["bijectivity", "--n", "2", "--a", "1", "--b", "233/144", "--layers", "1"],
+     "echlens.bijectivity", _SPECTRUM_NEVER),
+    # the oracle route enumerates paths but never loads the index formulas
+    (["domain", "{dom}", "--method", "oracle", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
+    (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
+    (["check", "--trials", "1", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
+    # the packing route and the weight expansion load no path code at all
+    (["domain", "{dom}", "--method", "weights", "--kmax", "2"],
+     "echlens.weights", {"echlens.paths", "echlens.index"}),
+    (["weights", "{dom}"], "echlens.weights", {"echlens.paths", "echlens.index"}),
+    (["obstruct", "{dom}", "{dom}", "--kmax", "2"],
+     "echlens.weights", {"echlens.paths", "echlens.index"}),
+]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ball", "--a", "1", "--kmax", "0"],
-        ["ellipsoid", "--n", "2", "--a", "1", "--b", "3/2", "--kmax", "2"],
-        ["bijectivity", "--n", "2", "--a", "1", "--b", "233/144", "--layers", "1"],
-    ],
-)
-def test_cold_job_loads_only_what_it_runs(argv):
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in _JOBS])
+def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
+    runs, unwanted = next((r, u) for a, r, u in _JOBS if a == argv)
+    dom = tmp_path / "example.dom"
+    dom.write_text(_DOMAIN)
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv],
+        [sys.executable, "-c", _LOADED, *(arg.format(dom=dom) for arg in argv)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = set(result.stdout.splitlines()[-1].split())
-    runs, unwanted = _JOB_MODULES[argv[0]]
     assert runs in loaded
-    assert not loaded & (_NEVER | unwanted)
-
+    assert not loaded & ({"dataclasses", "inspect"} | unwanted)

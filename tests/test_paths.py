@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import echlens as e
 from echlens import paths
-from echlens.errors import InvalidVertex, PathError
+from echlens.errors import InvalidVertex, PathError, ResourceLimit
 from helpers import (
     brute_completion_bound,
     brute_edge_count,
@@ -205,6 +205,15 @@ class TestEnumeration:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             e.enumerate_paths_up_to(2, -1)
+
+    def test_column_budget_counts_the_columns_left_of_each_vertex(self, monkeypatch):
+        # at kmax 1 the one call from (n, 1) scans its n columns and no more
+        monkeypatch.setattr(paths, "COLUMN_BUDGET", 1000)
+        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
+        assert [len(b) for b in e.enumerate_paths_up_to(1000, 1).values()] == [1, 1]
+        with pytest.raises(ResourceLimit, match="n=1001, kmax=1: .*budget of 1000"):
+            e.enumerate_paths_up_to(1001, 1)
+        assert list(paths._ENUM_CACHE) == [1000]
 
     def test_one_cache_entry_per_n(self, monkeypatch):
         monkeypatch.setattr(paths, "_ENUM_CACHE", {})
