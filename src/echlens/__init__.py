@@ -21,7 +21,6 @@ _EXPORTS = {
     "checks": ("CheckResult", "random_concave_domain", "run_check"),
     "domains": (
         "ConcaveDomain",
-        "boundary_height",
         "domain_area",
         "omega_length_edge",
         "parse_domain_file",
@@ -36,6 +35,7 @@ _EXPORTS = {
         "ConcaveGenerator",
         "OrbitSetDescriptor",
         "RotationNumbers",
+        "boundary_height",
         "coround_corner",
         "ellipsoid_orbit_index",
         "generator_index",

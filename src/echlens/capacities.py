@@ -9,12 +9,12 @@ the generator heap is in ellipsoid.py and the index formulas in index.py.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
 from .ellipsoid import ellipsoid_ints, ellipsoid_values
 from .errors import DeltaTooLarge, InsufficientLength
+from .geometry import cross, format_ratio
 from .record import Record, _set
 
 # domains, paths and weights are imported in the routes that use them (here
@@ -48,7 +48,7 @@ class CapacitySequence(Record):
         if scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale}")
         if ints[0] != 0:
-            raise ValueError(f"c_0 must be 0, got {Fraction(ints[0], scale)}")
+            raise ValueError(f"c_0 must be 0, got {format_ratio(ints[0], scale)}")
         for k in range(len(ints) - 1):
             if ints[k] > ints[k + 1]:
                 raise ValueError(f"sequence decreases at k={k}")
@@ -61,9 +61,11 @@ class CapacitySequence(Record):
         return tuple(self)
 
     def __iter__(self):
-        return (Fraction(v, self.scale) for v in self.ints)
+        return map(self.__getitem__, range(len(self.ints)))
 
     def __getitem__(self, k):
+        from fractions import Fraction
+
         return Fraction(self.ints[k], self.scale)
 
     def __len__(self):
@@ -107,30 +109,33 @@ def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence
     from .weights import singular_weight_expansion
 
     expansion = singular_weight_expansion(domain)
-    w0 = expansion.singular_weight
+    w0 = expansion.singular
     seqs = [ellipsoid_sequence(domain.n, w0, w0, kmax)]
     # c_k uses at most k nonzero balls, and larger weights never do worse
-    seqs.extend(ellipsoid_sequence(1, w, w, kmax) for w in expansion.plain_weights[:kmax])
-    return union_sequence(seqs, kmax)
+    seqs.extend(ellipsoid_sequence(1, w, w, kmax) for w in expansion.plain[:kmax])
+    # the balls of the int weights: capacities scale linearly, so the union
+    # is divided by the domain's scale once
+    return CapacitySequence(union_sequence(seqs, kmax).ints, expansion.scale)
 
 
 def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> CapacitySequence:
     """Brute-force route: per k, maximize the length l - delta*y of the
     rational blow-up of size delta over all paths with L_n = k (delta = 0 is
     the domain itself), enumerated under paths.PATH_BUDGET.  omega_length_edge
-    depends only on the primitive direction, so each direction met is priced
-    once, as an int over the LCM of the vertex and delta denominators, and a
-    path's length is an int sum."""
-    from .domains import omega_length_edge, singular_ball_capacity
+    depends only on the primitive direction d, so each direction met is
+    priced once, as min cross(p, d) over the int vertices p, over the LCM of
+    the domain's and the int or Fraction delta's denominators, and a path's
+    length is an int sum."""
     from .paths import enumerate_paths_up_to
 
-    # the blown-up region must stay strictly inside the domain
-    delta = Fraction(delta)
-    if delta < 0 or (delta > 0 and delta >= singular_ball_capacity(domain)):
+    verts = domain.ints
+    scale = lcm(delta.denominator, domain.scale)
+    factor = scale // domain.scale
+    shift = delta.numerator * (scale // delta.denominator)
+    # the blown-up region must stay strictly under the lowest vertex
+    if shift < 0 or (shift > 0 and shift >= factor * min(y for _, y in verts)):
         raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
     buckets = enumerate_paths_up_to(domain.n, kmax)
-    scale = lcm(delta.denominator, *(c.denominator for v in domain.vertices for c in v))
-    shift = int(delta * scale)
     prices = {}
 
     def length(path):
@@ -138,7 +143,7 @@ def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> Capacity
         for d, m in path.edges:
             price = prices.get(d)
             if price is None:
-                price = prices[d] = int(omega_length_edge(domain, d) * scale)
+                price = prices[d] = factor * min(cross(p, d) for p in verts)
             total += m * price
         return total
 
@@ -151,14 +156,22 @@ def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> Capacity
 
 
 class ObstructionReport(Record):
-    __slots__ = ("kmax", "violations", "note")  # violations: ((k, source, target), ...)
+    # rows: ((k, source, target), ...) ints over scale; violations reads them
+    __slots__ = ("kmax", "rows", "scale", "note")
 
-    def __init__(self, kmax, violations, note=MONOTONICITY_NOTE):
-        super().__init__(kmax, violations, note)
+    def __init__(self, kmax, rows=(), scale=1, note=MONOTONICITY_NOTE):
+        super().__init__(kmax, rows, scale, note)
+
+    @property
+    def violations(self) -> tuple:
+        from fractions import Fraction
+
+        s = self.scale
+        return tuple((k, Fraction(sv, s), Fraction(tv, s)) for k, sv, tv in self.rows)
 
     @property
     def obstructed(self) -> bool:
-        return bool(self.violations)
+        return bool(self.rows)
 
 
 def obstruction_report(
@@ -174,7 +187,11 @@ def obstruction_report(
         raise InsufficientLength(
             f"sequences of length {len(source)}, {len(target)} do not cover kmax={kmax}"
         )
-    violations = tuple(
-        (k, source[k], target[k]) for k in range(kmax + 1) if source[k] > target[k]
+    scale = lcm(source.scale, target.scale)
+    fs, ft = scale // source.scale, scale // target.scale
+    rows = tuple(
+        (k, sv * fs, tv * ft)
+        for k, (sv, tv) in enumerate(zip(source.ints[: kmax + 1], target.ints))
+        if sv * fs > tv * ft
     )
-    return ObstructionReport(kmax=kmax, violations=violations)
+    return ObstructionReport(kmax, rows, scale)

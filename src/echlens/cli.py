@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage/parse/validation errors, 3 resource budget
-exceeded, 4 internal invariant violation.  All output is deterministic:
-identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 usage/parse/validation
+errors, 3 resource budget exceeded, 4 internal invariant violation.  All
+output is deterministic: identical invocations produce byte-identical output.
 
 A job builds the parser of its own command alone.  The E_n(a, b) commands
 live here; the commands that read domain files live in domain_cli, which
@@ -12,10 +12,12 @@ only their jobs and the full parser import.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import islice
 
 from .clibase import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -142,7 +144,13 @@ def main(argv=None) -> int:
     if getattr(args, "decimal", None) is not None and args.format == "csv":
         parser.error("--decimal approximates the table format; --format csv is exact")
     try:
-        return _command(args.command)[1](args)
+        code = _command(args.command)[1](args)
+        sys.stdout.flush()  # so a reader that left early shows here
+        return code
+    except BrokenPipeError:
+        # `echlens ... | head`: the exit flush goes to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

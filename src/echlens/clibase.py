@@ -7,25 +7,25 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from math import gcd
 
-from .geometry import parse_rational
+from .geometry import format_ratio, parse_rational
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1  # the reader closed stdout, as Python exits on EPIPE
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str):
     try:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_rational(text: str) -> Fraction:
+def _positive_rational(text: str):
     value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
@@ -46,36 +46,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _render_decimal(value, decimal: int) -> str:
-    # Fraction rounding is exact and sends ties to even; capacities are >= 0
-    whole, frac = divmod(round(value * 10**decimal), 10**decimal)
+def _render_decimal(v: int, scale: int, decimal: int) -> str:
+    # v/scale rounded exactly, ties to even, as round() rounds a Fraction;
+    # capacities are >= 0
+    q, r = divmod(v * 10**decimal, scale)
+    if 2 * r > scale or (2 * r == scale and q % 2):
+        q += 1
+    whole, frac = divmod(q, 10**decimal)
     return f"~{whole}.{frac:0{decimal}d}"
 
 
 def _render_rows(ints, scale: int, fmt: str, decimal):
     """Print c_k = ints[k]/scale for k = 0, 1, ... as a table or CSV.  Each
     row is reduced by its own gcd and written as it comes, so `ints` may be
-    a stream that is never stored; only --decimal builds Fractions.  The
-    rows must keep CapacitySequence's invariants, c_0 = 0 <= c_1 <= ...;
-    a row that breaks them raises AssertionError."""
+    a stream that is never stored.  The rows must keep CapacitySequence's
+    invariants, c_0 = 0 <= c_1 <= ...; a row that breaks them raises
+    AssertionError."""
     write = sys.stdout.write
     csv = fmt == "csv"
     write("k,numerator,denominator\n" if csv else "k  c_k\n")
     prev = 0
     for k, v in enumerate(ints):
         if v < prev or (k == 0 and v != 0):
-            raise AssertionError(f"c_{k} = {Fraction(v, scale)} breaks 0 = c_0 <= c_1 <= ...")
+            raise AssertionError(
+                f"c_{k} = {format_ratio(v, scale)} breaks 0 = c_0 <= c_1 <= ..."
+            )
         prev = v
         if decimal is not None:
-            write(f"{k}  {_render_decimal(Fraction(v, scale), decimal)}\n")
-            continue
-        g = gcd(v, scale)
-        if csv:
+            write(f"{k}  {_render_decimal(v, scale, decimal)}\n")
+        elif csv:
+            g = gcd(v, scale)
             write(f"{k},{v // g},{scale // g}\n")
-        elif g == scale:
-            write(f"{k}  {v // g}\n")
         else:
-            write(f"{k}  {v // g}/{scale // g}\n")
+            write(f"{k}  {format_ratio(v, scale)}\n")
 
 
 def _add_format_flags(parser):

@@ -14,7 +14,7 @@ from .clibase import (
     _rational,
     _render_rows,
 )
-from .geometry import format_point, format_rational
+from .geometry import format_point, format_ratio, format_rational
 
 
 def _load_domain(path: str):
@@ -89,16 +89,13 @@ def cmd_domain(args) -> int:
             seq = results[name]
             _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     if args.method == "both":
-        diffs = [
-            k
-            for k in range(args.kmax + 1)
-            if results["weights"][k] != results["oracle"][k]
-        ]
-        if diffs:
+        # sequences in lowest terms are equal exactly when every value is
+        weights, oracle = results["weights"], results["oracle"]
+        if weights != oracle:
             parts = ", ".join(
-                f"k={k}: {format_rational(results['weights'][k])} vs "
-                f"{format_rational(results['oracle'][k])}"
-                for k in diffs
+                f"k={k}: {format_rational(weights[k])} vs {format_rational(oracle[k])}"
+                for k in range(args.kmax + 1)
+                if weights[k] != oracle[k]
             )
             print(f"DIFF: {parts}")
             return EXIT_INTERNAL
@@ -110,9 +107,10 @@ def cmd_weights(args) -> int:
     from .weights import singular_weight_expansion
 
     expansion = singular_weight_expansion(_load_domain(args.file))
-    print(f"singular {format_rational(expansion.singular_weight)}")
-    for w in expansion.plain_weights:
-        print(f"plain {format_rational(w)}")
+    scale = expansion.scale
+    print(f"singular {format_ratio(expansion.singular, scale)}")
+    for w in expansion.plain:
+        print(f"plain {format_ratio(w, scale)}")
     return EXIT_OK
 
 
@@ -135,7 +133,7 @@ def cmd_check(args) -> int:
     )
     # the failing domain as a domain file, for `echlens domain F --method both`
     print(f"n = {dom.n}")
-    print("vertices = " + " ".join(format_point(v) for v in dom.vertices))
+    print("vertices = " + " ".join(format_point(v, dom.scale) for v in dom.ints))
     return EXIT_INTERNAL
 
 
@@ -155,8 +153,9 @@ def cmd_obstruct(args) -> int:
     target = cap.capacities_via_weights(_load_domain(args.target), args.kmax)
     report = cap.obstruction_report(source, target, kmax=args.kmax)
     if report.obstructed:
-        for k, sv, tv in report.violations:
-            print(f"violation at k={k}: {format_rational(sv)} > {format_rational(tv)}")
+        scale = report.scale
+        for k, sv, tv in report.rows:
+            print(f"violation at k={k}: {format_ratio(sv, scale)} > {format_ratio(tv, scale)}")
     else:
         print(f"no obstruction up to k={report.kmax}")
     print(f"NOTE: {report.note}")

@@ -2,17 +2,19 @@
 
 A domain is described by the vertex chain of its upper boundary, traversed
 from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  This
-module validates, parses, scales and measures such chains: boundary height,
-area, singular ball capacity and edge length.  The length of a leftward
+module validates, parses, scales and measures such chains: area, singular
+ball capacity and edge length.  A chain is stored, and a domain file parsed,
+as int vertices over one denominator.  The length of a leftward
 lattice edge v is min_p cross(p, v) over boundary vertices p; this
 min-formula is the operational form of the supporting-line definition and
 fixes every sign convention downstream.  The rotation numbers of a domain's
-exceptional orbits serve only the index formulas, in index.py.
+exceptional orbits and the boundary height serve only the index formulas,
+in index.py.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from . import geometry as geo
 from .errors import (
@@ -30,8 +32,15 @@ from .record import Record
 
 
 class ConcaveDomain(Record):
-    # vertices: ((x, y), ...) exact rationals, ray endpoint first
-    __slots__ = ("n", "vertices")
+    # ints: ((x, y), ...) over scale in lowest terms, ray endpoint first
+    __slots__ = ("n", "ints", "scale")
+
+    @property
+    def vertices(self) -> tuple:
+        from fractions import Fraction
+
+        s = self.scale
+        return tuple((Fraction(x, s), Fraction(y, s)) for x, y in self.ints)
 
     def edge_vectors(self):
         v = self.vertices
@@ -39,42 +48,57 @@ class ConcaveDomain(Record):
 
 
 def validate_domain(n: int, vertices) -> ConcaveDomain:
-    """Validate a raw vertex chain, raising the first violated invariant."""
+    """Validate a chain of exact rational vertices (ints or Fractions),
+    raising the first violated invariant."""
+    return _from_ratios(
+        n, [((x.numerator, x.denominator), (y.numerator, y.denominator)) for x, y in vertices]
+    )
+
+
+def _from_ratios(n: int, points) -> ConcaveDomain:
+    # the domain of a chain of points ((p, q), (p, q)), each coordinate p/q
     if n < 1:
         raise VertexOutsideCone(f"n must be a positive integer, got {n}")
-    # Integer coordinates are checked as ints, several times cheaper than as
-    # Fractions; given and corounded paths come here, enumerated ones do not.
-    verts = tuple((_exact(x), _exact(y)) for x, y in vertices)
+    scale = lcm(*(q for point in points for _, q in point))
+    ints = [tuple(p * (scale // q) for p, q in point) for point in points]
+    _check_chain(n, ints, scale)
+    return _lowest_terms(n, ints, scale)
+
+
+def _lowest_terms(n: int, ints, scale: int) -> ConcaveDomain:
+    g = gcd(scale, *(c for v in ints for c in v))
+    return ConcaveDomain(n, tuple((x // g, y // g) for x, y in ints), scale // g)
+
+
+def _check_chain(n: int, verts, scale: int):
+    # raise the first invariant that the int chain over `scale` violates
     if len(verts) < 2:
         raise EmptyBoundary("boundary needs at least two vertices")
     fmt = geo.format_point
     first, last = verts[0], verts[-1]
     if first[0] != n * first[1] or first[1] <= 0:
-        raise EndpointNotOnRay(f"first vertex {fmt(first)} is not a0*({n},1) with a0 > 0")
+        raise EndpointNotOnRay(f"first vertex {fmt(first, scale)} is not a0*({n},1) with a0 > 0")
     if last[0] != 0 or last[1] <= 0:
-        raise EndpointNotOnRay(f"last vertex {fmt(last)} is not (0, a1) with a1 > 0")
+        raise EndpointNotOnRay(f"last vertex {fmt(last, scale)} is not (0, a1) with a1 > 0")
     for i, v in enumerate(verts):
         if not geo.in_cone(v, n):
-            raise VertexOutsideCone(f"vertex {fmt(v)} outside the cone V_{n}")
+            raise VertexOutsideCone(f"vertex {fmt(v, scale)} outside the cone V_{n}")
         if 0 < i < len(verts) - 1 and not geo.strictly_in_cone(v, n):
-            raise VertexOutsideCone(f"interior vertex {fmt(v)} lies on the cone boundary")
+            raise VertexOutsideCone(f"interior vertex {fmt(v, scale)} lies on the cone boundary")
     for u, v in zip(verts, verts[1:]):
         if v[0] >= u[0]:
-            raise NotGraphOfFunction(f"x does not strictly decrease at {fmt(u)} -> {fmt(v)}")
+            raise NotGraphOfFunction(
+                f"x does not strictly decrease at {fmt(u, scale)} -> {fmt(v, scale)}"
+            )
     edges = [geo.vec_sub(v, u) for u, v in zip(verts, verts[1:])]
     for e1, e2 in zip(edges, edges[1:]):
         if geo.cross(e1, e2) >= 0:
             raise ComplementNotConvex(
-                f"edge slopes not strictly decreasing at {fmt(e1)} -> {fmt(e2)}"
+                f"edge slopes not strictly decreasing at {fmt(e1, scale)} -> {fmt(e2, scale)}"
             )
-    return ConcaveDomain(n=n, vertices=tuple((Fraction(x), Fraction(y)) for x, y in verts))
 
 
-def _exact(x):
-    return x if isinstance(x, int) else Fraction(x)
-
-
-def omega_length_edge(domain: ConcaveDomain, v) -> Fraction:
+def omega_length_edge(domain: ConcaveDomain, v):
     """Length of the single lattice edge v; v must point leftward (v.x <= 0)."""
     if v == (0, 0):
         raise ZeroEdge("zero vector has no length")
@@ -83,43 +107,31 @@ def omega_length_edge(domain: ConcaveDomain, v) -> Fraction:
     return min(geo.cross(p, v) for p in domain.vertices)
 
 
-def singular_ball_capacity(domain: ConcaveDomain) -> Fraction:
+def singular_ball_capacity(domain: ConcaveDomain):
     """Largest a with the singular ball B_n(a) included in the domain: the
     triangle of size a fits exactly when it stays under the lowest vertex."""
-    return min(Fraction(v[1]) for v in domain.vertices)
+    return min(y for _, y in domain.vertices)
 
 
 def scale_domain(domain: ConcaveDomain, r) -> ConcaveDomain:
-    r = Fraction(r)
     if r <= 0:
         raise NonPositiveScale(f"scale factor must be positive, got {r}")
-    return ConcaveDomain(
-        n=domain.n, vertices=tuple((r * x, r * y) for x, y in domain.vertices)
-    )
+    p = r.numerator
+    ints = [(x * p, y * p) for x, y in domain.ints]
+    return _lowest_terms(domain.n, ints, domain.scale * r.denominator)
 
 
-def boundary_height(domain: ConcaveDomain, x) -> Fraction:
-    """Exact height of the upper boundary over abscissa x (0 <= x <= start.x)."""
-    x = Fraction(x)
-    verts = domain.vertices
-    if not (0 <= x <= verts[0][0]):
-        raise ValueError(f"x={x} outside the boundary's span")
-    for u, v in zip(verts, verts[1:]):
-        if v[0] <= x <= u[0]:
-            if u[0] == v[0]:
-                return max(u[1], v[1])
-            t = (x - v[0]) / (u[0] - v[0])
-            return v[1] + t * (u[1] - v[1])
-    raise AssertionError("unreachable: x inside span but no edge found")
+def _twice_area(domain: ConcaveDomain) -> int:
+    # twice the domain's area times scale**2, an int
+    poly = [(0, 0), *domain.ints]
+    return abs(sum(geo.cross(u, v) for u, v in zip(poly, poly[1:] + poly[:1])))
 
 
-def domain_area(domain: ConcaveDomain) -> Fraction:
+def domain_area(domain: ConcaveDomain):
     """Exact area of the region between the boundary chain and the two rays."""
-    poly = [(Fraction(0), Fraction(0))] + list(domain.vertices)
-    total = Fraction(0)
-    for u, v in zip(poly, poly[1:] + poly[:1]):
-        total += geo.cross(u, v)
-    return abs(total) / 2
+    from fractions import Fraction
+
+    return Fraction(_twice_area(domain), 2 * domain.scale**2)
 
 
 def parse_domain_file(text: str) -> ConcaveDomain:
@@ -165,4 +177,4 @@ def parse_domain_file(text: str) -> ConcaveDomain:
         raise ParseError("missing `n = ...` line", 1, 1)
     if not vertices:
         raise ParseError("missing `vertices = ...` line", 1, 1)
-    return validate_domain(n, vertices)
+    return _from_ratios(n, vertices)

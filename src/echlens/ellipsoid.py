@@ -5,7 +5,6 @@ with repetitions, as ints over the common denominator of a and b."""
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import lcm
 
 from .errors import NonPositivePeriod
@@ -14,7 +13,7 @@ from .errors import NonPositivePeriod
 def ellipsoid_ints(n: int, a, b):
     """(ia, ib, d) with a = ia/d and b = ib/d for E_n(a, b), the one check
     of its parameters: NonPositivePeriod unless n >= 1 and a, b > 0."""
-    a, b = Fraction(a), Fraction(b)
+    # a and b are ints or Fractions
     if a <= 0 or b <= 0:
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:

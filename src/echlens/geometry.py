@@ -1,13 +1,12 @@
 """Exact 2D primitives: rational scalars, cross products, cone tests, parsing.
 
-All scalars are `fractions.Fraction` (or plain int where a value is known to
-be integral); nothing in the library ever rounds.
+Rationals are parsed to, and printed from, int pairs (p, q) with q > 0;
+library callers get exact `fractions.Fraction`s or ints.  Nothing rounds.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
@@ -17,24 +16,35 @@ from .errors import ParseError
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the `p` / `p/q` rational syntax (no whitespace, q > 0)."""
+def parse_ratio(text: str) -> tuple:
+    """(p, q) from the `p` / `p/q` rational syntax (no whitespace, q > 0)."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal with q > 0: {text!r}")
-    return Fraction(text)
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
+
+
+def parse_rational(text: str):
+    """The `p` / `p/q` rational syntax as an exact Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*parse_ratio(text))
+
+
+def format_ratio(p: int, q: int) -> str:
+    """The rational p/q, for ints p and q > 0, as `p` or `p/q` in lowest terms."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def format_rational(value) -> str:
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """An int or Fraction as `p` or `p/q`."""
+    return format_ratio(value.numerator, value.denominator)
 
 
-def format_point(p) -> str:
-    """`(x,y)` in the rational syntax of the domain files."""
-    return f"({format_rational(p[0])},{format_rational(p[1])})"
+def format_point(p, scale: int = 1) -> str:
+    """The int point p over `scale` as `(x,y)` in the domain-file syntax."""
+    return f"({format_ratio(p[0], scale)},{format_ratio(p[1], scale)})"
 
 
 def cross(u, v):
@@ -78,7 +88,8 @@ def vec_sub(u, v):
 
 
 def parse_point(text: str, line: int, col: int):
-    """Parse `(x,y)` with rational coordinates; errors carry line/column."""
+    """Parse `(x,y)` with rational coordinates into two parse_ratio pairs;
+    errors carry line/column."""
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"expected (x,y), got {text!r}", line, col)
     body = text[1:-1]
@@ -89,7 +100,7 @@ def parse_point(text: str, line: int, col: int):
     offset = 1
     for part in parts:
         try:
-            coords.append(parse_rational(part))
+            coords.append(parse_ratio(part))
         except ValueError:
             raise ParseError(f"bad rational {part!r}", line, col + offset) from None
         offset += len(part) + 1

@@ -5,9 +5,10 @@ powers over a concave domain; the ellipsoid index is that formula on the
 ellipsoid's triangle.  Around it live what it and `index orbit` need beyond
 the oracle's path code (paths.py): labeled generators and the paths a caller
 gives, homology classes, the combinatorial index of a generator, the
-rotation numbers of the exceptional orbits, corner corounding and the path
-text form.  The bijectivity check (bijectivity.py) prices the same index for
-every orbit set of E_n(a, b) in a window.
+rotation numbers of the exceptional orbits, corner corounding with the
+boundary height it reads, and the path text form.  The bijectivity check
+(bijectivity.py) prices the same index for every orbit set of E_n(a, b) in
+a window.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import ceil, gcd
 
 from . import geometry as geo
-from .domains import ConcaveDomain, boundary_height, validate_domain
+from .domains import ConcaveDomain, validate_domain
 from .ellipsoid import ellipsoid_ints
 from .errors import (
     DegenerateEdge,
@@ -167,6 +168,21 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
 
 # ---------------------------------------------------------------------------
 # Corounding the corner
+
+
+def boundary_height(domain: ConcaveDomain, x):
+    """Exact height of the upper boundary over abscissa x (0 <= x <= start.x)."""
+    x = Fraction(x)
+    verts = domain.vertices
+    if not (0 <= x <= verts[0][0]):
+        raise ValueError(f"x={x} outside the boundary's span")
+    for u, v in zip(verts, verts[1:]):
+        if v[0] <= x <= u[0]:
+            if u[0] == v[0]:
+                return max(u[1], v[1])
+            t = (x - v[0]) / (u[0] - v[0])
+            return v[1] + t * (u[1] - v[1])
+    raise AssertionError("unreachable: x inside span but no edge found")
 
 
 def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:

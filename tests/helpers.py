@@ -5,8 +5,10 @@ from itertools import accumulate
 from math import floor, gcd, lcm
 
 from echlens.capacities import CapacitySequence
-from echlens.domains import boundary_height
+from echlens.domains import validate_domain
+from echlens.errors import DomainError
 from echlens.geometry import in_cone
+from echlens.index import boundary_height
 
 
 def sequence_of(values):
@@ -105,6 +107,56 @@ def brute_path_length(domain, path):
         step = min(p[0] * dy - p[1] * dx for p in domain.vertices)
         total += mult * step
     return total
+
+
+def fraction_weight_expansion(domain):
+    """(w0, plain weights sorted non-increasing) of the weight expansion,
+    peeled in Fractions on the domain's exact vertices, independently of the
+    library's peel of ints over one denominator.  Each peel takes
+    the triangle under the lowest vertex and carries the piece on the
+    y-axis side by (x, y) -> (x, x + y - a) and the piece on the ray side by
+    (x, y) -> (y - a, (n+1)(y - a) - (x - n a)) into V_1."""
+
+    def peel(n, verts):
+        heights = [y for _, y in verts]
+        a = min(heights)
+        first = heights.index(a)
+        last = len(heights) - 1 - heights[::-1].index(a)
+        pieces = []
+        if last < len(verts) - 1:
+            pieces.append([(x, x + y - a) for x, y in verts[last:]])
+        if first > 0:
+            pieces.append(
+                [(y - a, (n + 1) * (y - a) - (x - n * a)) for x, y in verts[: first + 1]]
+            )
+        return a, pieces
+
+    w0, work = peel(domain.n, list(domain.vertices))
+    plain = []
+    while work:
+        w, pieces = peel(1, work.pop())
+        plain.append(w)
+        work.extend(pieces)
+    return w0, tuple(sorted(plain, reverse=True))
+
+
+def large_denominator_domain(rng, n, den=10**6):
+    """A random concave domain over V_n with a0, a1 and the interior heights
+    at most 8 and up to two interior vertices, each coordinate with its own
+    random denominator up to `den`, drawn until validate_domain accepts it."""
+
+    def rational(top):
+        q = rng.randint(1, den)
+        return Fraction(rng.randint(1, top * q), q)
+
+    while True:
+        a0 = rational(8)
+        xs = sorted({rational(8 * n) for _ in range(rng.randint(0, 2))}, reverse=True)
+        verts = [(n * a0, a0), *((x, rational(8)) for x in xs), (0, rational(8))]
+        try:
+            return validate_domain(n, verts)
+        except DomainError:
+            continue
 
 
 def naive_union(seqs, kmax):

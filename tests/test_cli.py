@@ -216,6 +216,22 @@ def test_streamed_rows_peak_near_a_no_work_job():
     assert busy - idle <= 2048
 
 
+def test_closed_stdout_exits_1_quietly():
+    # `echlens ellipsoid ... | head -1`: the reader leaves after one row,
+    # long before the job has written its 200 001 rows
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    job = subprocess.Popen(
+        [sys.executable, "-m", "echlens.cli", "ellipsoid", "--n", "1", "--a", "1",
+         "--b", "3/2", "--kmax", "200000"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert job.stdout.readline() == b"k  c_k\n"
+    job.stdout.close()
+    err = job.stderr.read()
+    job.stderr.close()
+    assert (job.wait(timeout=60), err) == (1, b"")
+
+
 class TestDomain:
     def test_both_routes_agree(self, capsys, domain_file):
         code, out, _ = run(capsys, ["domain", domain_file, "--kmax", "3", "--method", "both"])
@@ -295,8 +311,18 @@ class TestWeights:
         assert code == 0
         assert out == "singular 1\n" + "plain 1\n" * 99
 
+    def test_peel_budget_exit_3(self, capsys, monkeypatch, thin_file):
+        # the thin triangle (1,1)(0,100) has 99 plain weights
+        monkeypatch.setattr(weights, "PEEL_BUDGET", 98)
+        code, out, err = run(capsys, ["weights", thin_file])
+        assert (code, out) == (3, "")
+        assert err == "error: weight expansion: more plain weights than the budget of 98\n"
+        monkeypatch.setattr(weights, "PEEL_BUDGET", 99)
+        code, out, _ = run(capsys, ["weights", thin_file])
+        assert (code, len(out.splitlines())) == (0, 100)
+
     def test_area_mismatch_is_internal_error(self, capsys, monkeypatch, domain_file):
-        monkeypatch.setattr(weights, "domain_area", lambda domain: 0)
+        monkeypatch.setattr(weights, "_twice_area", lambda domain: 0)
         code, out, err = run(capsys, ["weights", domain_file])
         assert code == 4
         assert out == ""
@@ -304,9 +330,9 @@ class TestWeights:
 
     def test_bad_peeled_piece_is_internal_error(self, capsys, monkeypatch, domain_file):
         # a peel map that mirrors its piece carries it out of V_1
-        real = weights.validate_domain
+        real = weights._check_chain
         monkeypatch.setattr(
-            weights, "validate_domain", lambda n, verts: real(n, [(y, x) for x, y in verts])
+            weights, "_check_chain", lambda n, verts, s: real(n, [(y, x) for x, y in verts], s)
         )
         code, out, err = run(capsys, ["weights", domain_file])
         assert code == 4

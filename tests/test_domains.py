@@ -138,7 +138,7 @@ class TestRotationNumbers:
     def test_degenerate_edge(self):
         # a first edge parallel to the ray cannot pass validation, so build
         # the value object directly to exercise the guard
-        dom = e.ConcaveDomain(n=2, vertices=((4, 2), (2, 1), (0, 1)))
+        dom = e.ConcaveDomain(n=2, ints=((4, 2), (2, 1), (0, 1)), scale=1)
         with pytest.raises(DegenerateEdge):
             e.rotation_numbers(dom)
 

@@ -107,7 +107,7 @@ class TestPrimitive:
 
 class TestParsePoint:
     def test_valid(self):
-        assert geo.parse_point("(3/2,-1)", 1, 1) == (Fraction(3, 2), -1)
+        assert geo.parse_point("(3/2,-1)", 1, 1) == ((3, 2), (-1, 1))
 
     @pytest.mark.parametrize("text", ["3,4", "(3;4)", "(3,4,5)", "(a,1)"])
     def test_invalid(self, text):

@@ -76,13 +76,13 @@ def _records():
     generator = e.ConcaveGenerator(path=path, labels=("e",))
     return [
         lambda: e.CapacitySequence([0, 1, 3], 2),
-        lambda: e.ObstructionReport(3, ((1, Fraction(2), Fraction(1)),)),
+        lambda: e.ObstructionReport(3, ((1, 4, 2),), 2),
         lambda: e.OrbitSetDescriptor(m_plus=1, m_minus=2, generator=generator),
         lambda: e.validate_domain(2, [(4, 2), (0, 3)]),
         lambda: e.RotationNumbers(Fraction(1, 3), Fraction(-1, 2)),
         lambda: e.IntegralPath(2, (2, 1), (((-1, 1), 2),)),
         lambda: e.ConcaveGenerator(path, ("e",)),
-        lambda: e.WeightExpansion(Fraction(1), (Fraction(1, 2),)),
+        lambda: e.WeightExpansion(2, (1,), 2),
         lambda: e.CheckResult(trials=3, kmax=8, seed=2024, failure=None),
     ]
 
@@ -128,7 +128,8 @@ class TestRecordSemantics:
 class TestRecordConstructors:
     def test_defaults(self):
         assert echlens.CapacitySequence((0, 2)).scale == 1
-        report = echlens.ObstructionReport(kmax=1, violations=())
+        report = echlens.ObstructionReport(kmax=1)
+        assert (report.rows, report.scale, report.violations) == ((), 1, ())
         assert report.note == MONOTONICITY_NOTE and not report.obstructed
 
     def test_capacity_sequence_takes_any_iterable_and_reduces(self):
@@ -159,12 +160,17 @@ print(" ".join(sorted(set(sys.modules) - base)))
 
 
 _DOMAIN = "n = 2\nvertices = (6,3) (3,2) (0,2)\n"
+_BIG = "n = 2\nvertices = (12,6) (6,4) (0,4)\n"  # _DOMAIN scaled by 2
 # an E_n(a, b) job loads no domain, weight, path or check code, neither the
 # capacity routes, the index formulas nor the domain commands
 _SPECTRUM_NEVER = {"echlens.paths", "echlens.domains", "echlens.weights", "echlens.checks",
                    "echlens.capacities", "echlens.index", "echlens.domain_cli"}
-# (argv, the module the job runs, the library modules it must not load), where
-# {dom} is a domain file; no job loads dataclasses or inspect
+# the packing route, the weight expansion and what they print are ints over
+# one denominator: their jobs build no Fraction, so they load no path code
+# and not fractions, nor decimal and numbers, which fractions imports
+_PACKING_NEVER = {"echlens.paths", "echlens.index", "fractions", "decimal", "numbers"}
+# (argv, the module the job runs, the modules it must not load), where {dom}
+# and {big} are domain files; no job loads dataclasses or inspect
 _JOBS = [
     (["ball", "--a", "1", "--kmax", "0"],
      "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
@@ -176,25 +182,26 @@ _JOBS = [
     (["domain", "{dom}", "--method", "oracle", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
     (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
     (["check", "--trials", "1", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
-    # the packing route and the weight expansion load no path code at all
-    (["domain", "{dom}", "--method", "weights", "--kmax", "2"],
-     "echlens.weights", {"echlens.paths", "echlens.index"}),
-    (["weights", "{dom}"], "echlens.weights", {"echlens.paths", "echlens.index"}),
-    (["obstruct", "{dom}", "{dom}", "--kmax", "2"],
-     "echlens.weights", {"echlens.paths", "echlens.index"}),
+    (["domain", "{dom}", "--method", "weights", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
+    (["weights", "{dom}"], "echlens.weights", _PACKING_NEVER),
+    # the source is twice the target, so the report prints violations
+    (["obstruct", "{big}", "{dom}", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
 ]
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _, _ in _JOBS])
 def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
     runs, unwanted = next((r, u) for a, r, u in _JOBS if a == argv)
-    dom = tmp_path / "example.dom"
+    dom, big = tmp_path / "example.dom", tmp_path / "big.dom"
     dom.write_text(_DOMAIN)
+    big.write_text(_BIG)
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", _LOADED, *(arg.format(dom=dom) for arg in argv)],
+        [sys.executable, "-c", _LOADED, *(arg.format(dom=dom, big=big) for arg in argv)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     loaded = set(result.stdout.splitlines()[-1].split())
     assert runs in loaded
+    if argv[0] == "obstruct":
+        assert result.stdout.startswith("violation at k=1: 8 > 4\n")
     assert not loaded & ({"dataclasses", "inspect"} | unwanted)

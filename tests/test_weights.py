@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
+from echlens import weights
+from echlens.checks import DEFAULT_SEED
 from echlens.errors import (
     ComplementNotConvex,
     EmptyBoundary,
     EndpointNotOnRay,
+    ResourceLimit,
     VertexOutsideCone,
 )
-from helpers import contains_point
+from helpers import contains_point, fraction_weight_expansion, large_denominator_domain
 
 
 def standard(vertices):
@@ -191,3 +194,40 @@ class TestSingularExpansion:
                 (v[0] for v in dom.vertices if v[1] == w0),
             )
             assert not contains_point(dom, (x_low, t))
+
+
+class TestIntExpansion:
+    """The expansion peels ints over the domain's one denominator, against
+    the Fraction peel of helpers.fraction_weight_expansion."""
+
+    def test_matches_the_fraction_peel_on_the_check_domains(self):
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(300):
+            dom = e.random_concave_domain(rng)
+            w = e.singular_weight_expansion(dom)
+            assert (w.singular_weight, w.plain_weights) == fraction_weight_expansion(dom)
+            assert w.scale == dom.scale
+
+    def test_large_denominators(self):
+        # denominators up to 10**6, so scales up to about 10**24
+        rng = random.Random(24)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                dom = large_denominator_domain(rng, n)
+                w = e.singular_weight_expansion(dom)
+                assert (w.singular_weight, w.plain_weights) == fraction_weight_expansion(dom)
+                area = Fraction(n) * w.singular_weight**2 / 2 + sum(
+                    (x * x for x in w.plain_weights), Fraction(0)
+                ) / 2
+                assert area == e.domain_area(dom)
+                assert e.capacities_via_weights(dom, 6) == e.capacities_via_oracle(dom, 6)
+
+    def test_peel_budget_counts_plain_weights(self, monkeypatch):
+        # the thin triangle (1,1)(0,m) peels m - 1 plain weights
+        monkeypatch.setattr(weights, "PEEL_BUDGET", 8)
+        fits = e.validate_domain(1, [(1, 1), (0, 9)])
+        assert e.singular_weight_expansion(fits).plain == (1,) * 8
+        with pytest.raises(ResourceLimit, match="budget of 8"):
+            e.singular_weight_expansion(e.validate_domain(1, [(1, 1), (0, 10)]))
+        with pytest.raises(ResourceLimit, match="budget of 8"):
+            e.capacities_via_weights(e.validate_domain(1, [(1, 1), (0, 10**9)]), 3)
