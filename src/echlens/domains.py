@@ -8,8 +8,8 @@ as int vertices over one denominator.  The length of a leftward
 lattice edge v is min_p cross(p, v) over boundary vertices p; this
 min-formula is the operational form of the supporting-line definition and
 fixes every sign convention downstream.  The rotation numbers of a domain's
-exceptional orbits and the boundary height serve only the index formulas,
-in index.py.
+exceptional orbits, which serve only the index formulas, and the boundary
+height, which no route reads, are in index.py.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class ConcaveDomain(Record):
 
         s = self.scale
         return tuple((Fraction(x, s), Fraction(y, s)) for x, y in self.ints)
-
-    def edge_vectors(self):
-        v = self.vertices
-        return [geo.vec_sub(v[i + 1], v[i]) for i in range(len(v) - 1)]
 
 
 def validate_domain(n: int, vertices) -> ConcaveDomain:

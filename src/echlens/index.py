@@ -5,20 +5,19 @@ powers over a concave domain; the ellipsoid index is that formula on the
 ellipsoid's triangle.  Around it live what it and `index orbit` need beyond
 the oracle's path code (paths.py): labeled generators and the paths a caller
 gives, homology classes, the combinatorial index of a generator, the
-rotation numbers of the exceptional orbits, corner corounding with the
-boundary height it reads, and the path text form.  The bijectivity check
-(bijectivity.py) prices the same index for every orbit set of E_n(a, b) in
-a window.
+rotation numbers of the exceptional orbits, corner corounding, the path
+text form and the boundary height, a public query that no route reads.  The
+bijectivity check (bijectivity.py) prices the same index for every orbit set
+of E_n(a, b) in a window.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 
 from . import geometry as geo
-from .domains import ConcaveDomain, validate_domain
+from .domains import ConcaveDomain, _check_chain, validate_domain
 from .ellipsoid import ellipsoid_ints
 from .errors import (
     DegenerateEdge,
@@ -38,16 +37,16 @@ class ConcaveGenerator(Record):
 
 
 def _boundary(path: IntegralPath):
-    """The path's vertices as a validated domain boundary chain in V_n."""
+    """Check that the path's vertices form a domain boundary chain in V_n."""
     try:
-        return validate_domain(path.n, path.vertices())
+        _check_chain(path.n, path.vertices(), 1)
     except DomainError as exc:
         raise PathError(str(exc)) from exc
 
 
 def make_path(n: int, start, edges) -> IntegralPath:
     """The empty path at the origin, or a path with primitive directions and
-    positive multiplicities whose vertices validate_domain accepts as a
+    positive multiplicities whose vertices pass the domain chain check as a
     boundary chain of V_n (so it starts at M*(n,1) with M > 0)."""
     if n < 1:
         raise PathError(f"n must be positive, got {n}")
@@ -97,17 +96,20 @@ class RotationNumbers(Record):
 
 def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
     """Rotation numbers of the exceptional orbits, from the end edges: on the
-    triangle of E_n(a, b), (a - b)/(n*b) and (b - a)/(n*a)."""
-    edges = domain.edge_vectors()
-    first, last = edges[0], edges[-1]
+    triangle of E_n(a, b), (a - b)/(n*b) and (b - a)/(n*a).  Each is a ratio
+    of one int edge's coordinates, in which the scale cancels."""
+    from fractions import Fraction
+
+    v = domain.ints
+    first, last = geo.vec_sub(v[1], v[0]), geo.vec_sub(v[-1], v[-2])
     denom_plus = geo.cross(first, (domain.n, 1))
     if denom_plus == 0:
         raise DegenerateEdge("first boundary edge runs along the (n,1)-ray")
     if last[0] == 0:
         raise DegenerateEdge("last boundary edge is vertical")
     return RotationNumbers(
-        phi_plus=Fraction(first[1], 1) / denom_plus,
-        phi_minus=Fraction(-last[1], 1) / last[0],
+        phi_plus=Fraction(first[1], denom_plus),
+        phi_minus=Fraction(-last[1], last[0]),
     )
 
 
@@ -172,6 +174,8 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
 
 def boundary_height(domain: ConcaveDomain, x):
     """Exact height of the upper boundary over abscissa x (0 <= x <= start.x)."""
+    from fractions import Fraction
+
     x = Fraction(x)
     verts = domain.vertices
     if not (0 <= x <= verts[0][0]):
@@ -187,47 +191,31 @@ def boundary_height(domain: ConcaveDomain, x):
 
 def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
     """Replace the path by the hull boundary of its upper lattice region minus
-    the addressed corner.
-
-    The result never has larger length and never has a smaller L_n than the
-    input; if the corner removal changes nothing the input is returned.
-    """
+    the addressed corner v.  Only the lattice triangle of v and its lattice
+    neighbours v - da and v + db on its edges (da, db primitive) changes: the
+    lower hull of the lowest lattice point on or above the boundary in each
+    of its columns, one higher at v, replaces v.  The result never has
+    smaller length and never a smaller L_n than the input."""
     verts = path.vertices()
     if not 1 <= vertex_index <= len(verts) - 2:
         raise InvalidVertex(f"vertex index {vertex_index} is not an interior vertex")
-    corner = verts[vertex_index]
-    n = path.n
-    sx = path.start[0]
-    boundary = _boundary(path)
-
-    # Per-column lowest lattice point of the upper region, skipping the corner;
-    # plus ray columns beyond the start so the hull rides the (n,1)-direction.
-    candidates = []
-    for c in range(0, sx + 1):
-        ymin = ceil(boundary_height(boundary, c))
-        if (c, ymin) == corner:
-            ymin += 1
-        candidates.append((c, ymin))
-    for c in range(sx + 1, sx + 2 * n + 1):
-        candidates.append((c, -(-c // n)))
-
-    # lower convex hull, left to right
+    _boundary(path)
+    v = verts[vertex_index]
+    da, db = path.edges[vertex_index - 1][0], path.edges[vertex_index][0]
+    # both edge lines pass through v; lower hull, left to right
     hull = []
-    for pt in candidates:
+    for c in range(v[0] + db[0], v[0] - da[0] + 1):
+        dx, dy = db if c <= v[0] else da
+        pt = (c, v[1] - ((v[0] - c) * dy) // dx + (c == v[0]))
         while len(hull) >= 2 and geo.cross(
-            (hull[-1][0] - hull[-2][0], hull[-1][1] - hull[-2][1]),
-            (pt[0] - hull[-1][0], pt[1] - hull[-1][1]),
+            geo.vec_sub(hull[-1], hull[-2]), geo.vec_sub(pt, hull[-1])
         ) <= 0:
             hull.pop()
         hull.append(pt)
-    chain = [pt for pt in hull if pt[0] <= sx]
-    if not chain or chain[-1] != path.start:
-        chain = [pt for pt in chain if pt[0] < sx] + [path.start]
-    chain.reverse()  # traversal from the ray to the y-axis
-    new_path = path_from_vertices(n, chain)
-    if new_path == path:
-        return path
-    return new_path
+    # from the ray to the y-axis; a neighbour on an edge of multiplicity 1 is
+    # already a vertex of the path
+    chain = verts[:vertex_index] + hull[::-1] + verts[vertex_index + 1 :]
+    return path_from_vertices(path.n, [p for p, q in zip(chain, [None, *chain]) if p != q])
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from itertools import accumulate
-from math import floor, gcd, lcm
+from math import ceil, floor, gcd, lcm
 
 from echlens.capacities import CapacitySequence
 from echlens.domains import validate_domain
 from echlens.errors import DomainError
-from echlens.geometry import in_cone
-from echlens.index import boundary_height
+from echlens.geometry import cross, in_cone
+from echlens.index import boundary_height, make_path, path_from_vertices
 
 
 def sequence_of(values):
@@ -98,6 +98,53 @@ def contains_point(domain, p):
     if p[0] > domain.vertices[0][0]:
         return False
     return p[1] <= boundary_height(domain, p[0])
+
+
+def hull_coround(path, vertex_index):
+    """coround_corner over the whole span: the lower hull of the lowest
+    lattice point on or above the boundary in every column 0..start.x (one
+    higher at the corner), read off Fraction boundary heights, with 2n ray
+    columns past the start so the hull rides the (n,1)-direction, then
+    trimmed back to the path's span."""
+    n, sx = path.n, path.start[0]
+    boundary = validate_domain(n, path.vertices())
+    corner = path.vertices()[vertex_index]
+    candidates = []
+    for c in range(sx + 1):
+        y = ceil(boundary_height(boundary, c))
+        candidates.append((c, y + 1 if (c, y) == corner else y))
+    candidates += [(c, -(-c // n)) for c in range(sx + 1, sx + 2 * n + 1)]
+    hull = []
+    for pt in candidates:
+        while len(hull) >= 2 and cross(
+            (hull[-1][0] - hull[-2][0], hull[-1][1] - hull[-2][1]),
+            (pt[0] - hull[-1][0], pt[1] - hull[-1][1]),
+        ) <= 0:
+            hull.pop()
+        hull.append(pt)
+    chain = [pt for pt in hull if pt[0] <= sx]
+    if not chain or chain[-1] != path.start:
+        chain = [pt for pt in chain if pt[0] < sx] + [path.start]
+    return path_from_vertices(n, chain[::-1])
+
+
+def random_concave_path(rng, n, max_mult=6, max_width=7):
+    """A random concave lattice path over V_n with up to five edges, each a
+    primitive leftward direction (-p, q) with p <= max_width and a
+    multiplicity up to max_mult, the slopes q/p increasing; drawn again
+    until the run is a multiple of n and the first edge leaves the ray."""
+    dirs = [
+        (-p, q)
+        for p in range(1, max_width + 1)
+        for q in range(-max_width, 2 * max_width)
+        if gcd(p, q) == 1
+    ]
+    while True:
+        chosen = sorted(rng.sample(dirs, rng.randint(1, 5)), key=lambda d: Fraction(d[1], -d[0]))
+        edges = tuple((d, rng.randint(1, max_mult)) for d in chosen)
+        run = sum(-d[0] * m for d, m in edges)
+        if run % n == 0 and n * chosen[0][1] - chosen[0][0] > 0:
+            return make_path(n, (run, run // n), edges)
 
 
 def brute_path_length(domain, path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
+from echlens.checks import DEFAULT_SEED
 from echlens.errors import (
     ComplementNotConvex,
     DegenerateEdge,
@@ -30,7 +31,7 @@ class TestValidation:
     def test_three_vertices(self):
         assert EXAMPLE.vertices[0][1] == 3
         assert EXAMPLE.vertices[-1][1] == 2
-        assert EXAMPLE.edge_vectors() == [(-3, -1), (-3, 0)]
+        assert (EXAMPLE.ints, EXAMPLE.scale) == (((6, 3), (3, 2), (0, 2)), 1)
 
     def test_fractional_coordinates(self):
         dom = e.validate_domain(3, [(Fraction(9, 2), Fraction(3, 2)), (0, 2)])
@@ -134,6 +135,15 @@ class TestRotationNumbers:
         rot = e.rotation_numbers(B21)
         assert rot.phi_plus == 0
         assert rot.phi_minus == 0
+
+    def test_scale_invariant_on_the_check_domains(self):
+        # each rotation number is a ratio of one edge's coordinates
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(300):
+            dom = e.random_concave_domain(rng)
+            rot = e.rotation_numbers(dom)
+            for r in (Fraction(1, 3), Fraction(2), Fraction(7, 5)):
+                assert e.rotation_numbers(e.scale_domain(dom, r)) == rot
 
     def test_degenerate_edge(self):
         # a first edge parallel to the ray cannot pass validation, so build

@@ -11,7 +11,9 @@ from helpers import (
     brute_completion_bound,
     brute_edge_count,
     brute_path_length,
+    hull_coround,
     pick_lattice_count,
+    random_concave_path,
 )
 
 
@@ -250,3 +252,45 @@ class TestCoround:
         q = e.coround_corner(p, 1)
         assert (1, 1) not in q.vertices()
         assert e.lattice_count(q) > e.lattice_count(p)
+
+    def test_matches_the_whole_span_hull_on_enumerated_paths(self):
+        cases = 0
+        for n in (1, 2, 3, 4):
+            for bucket in e.enumerate_paths_up_to(n, 10).values():
+                for p in bucket:
+                    for i in range(1, len(p.vertices()) - 1):
+                        assert e.coround_corner(p, i) == hull_coround(p, i)
+                        cases += 1
+        assert cases > 1000
+
+    def test_matches_the_whole_span_hull_on_random_paths(self):
+        # n up to 30, multiplicities up to 6, primitive widths up to 7
+        rng = random.Random(25)
+        cases = 0
+        for _ in range(100):
+            p = random_concave_path(rng, rng.randint(1, 30))
+            for i in range(1, len(p.vertices()) - 1):
+                assert e.coround_corner(p, i) == hull_coround(p, i)
+                cases += 1
+        assert cases > 100
+
+    def test_long_path_stays_at_the_corner(self):
+        # the whole-span hull scans a billion columns here; the corner's
+        # triangle spans three or four
+        m = 10**9
+        p = e.path_from_vertices(1, [(m, m), (3, m), (2, m + 1), (0, m + 5)])
+        start = "start=(1000000000,1000000000); "
+        assert e.path_to_text(e.coround_corner(p, 1)) == (
+            start + "edges=[(-1,0)x999999996, (-2,1)x1, (-1,2)x2]"
+        )
+        assert e.path_to_text(e.coround_corner(p, 2)) == (
+            start + "edges=[(-1,0)x999999997, (-2,3)x1, (-1,2)x1]"
+        )
+
+    def test_vertical_edge_is_a_path_error(self):
+        # unvalidated, so the check runs before any column is divided out
+        p = paths.IntegralPath(1, (2, 2), (((-1, 1), 1), ((0, 1), 1), ((-1, 2), 1)))
+        with pytest.raises(PathError, match="x does not strictly decrease"):
+            e.coround_corner(p, 2)
+        with pytest.raises(PathError, match="x does not strictly decrease"):
+            e.coround_corner(p, 1)
