@@ -121,38 +121,46 @@ def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence
 def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> CapacitySequence:
     """Brute-force route: per k, maximize the length l - delta*y of the
     rational blow-up of size delta over all paths with L_n = k (delta = 0 is
-    the domain itself), enumerated under paths.PATH_BUDGET.  omega_length_edge
-    depends only on the primitive direction d, so each direction met is
-    priced once, as min cross(p, d) over the int vertices p, over the LCM of
-    the domain's and the int or Fraction delta's denominators, and a path's
-    length is an int sum."""
-    from .paths import enumerate_paths_up_to
+    the domain itself); delta is an int or a Fraction."""
+    return oracle_ints(domain, kmax, delta.numerator, delta.denominator)
+
+
+def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySequence:
+    """capacities_via_oracle at delta = p/q, q > 0, on ints.  One walk of
+    paths.PATH_BUDGET paths at most carries each chain's running length and
+    keeps only the kmax + 1 maxima.  omega_length_edge depends only on the
+    primitive direction d, so each direction met is priced once, as
+    min cross(v, d) over the int vertices v, over the LCM of the domain's
+    and delta's denominators, and a length is an int sum."""
+    from .paths import _enumerate_all
 
     verts = domain.ints
-    scale = lcm(delta.denominator, domain.scale)
+    scale = lcm(q, domain.scale)
     factor = scale // domain.scale
-    shift = delta.numerator * (scale // delta.denominator)
+    shift = p * (scale // q)
     # the blown-up region must stay strictly under the lowest vertex
     if shift < 0 or (shift > 0 and shift >= factor * min(y for _, y in verts)):
-        raise DeltaTooLarge(f"delta={delta} is not admissible for this domain")
-    buckets = enumerate_paths_up_to(domain.n, kmax)
+        raise DeltaTooLarge(f"delta={format_ratio(p, q)} is not admissible for this domain")
     prices = {}
+    best = [None] * (kmax + 1)
 
-    def length(path):
-        total = -shift * path.start[0]
-        for d, m in path.edges:
-            price = prices.get(d)
-            if price is None:
-                price = prices[d] = factor * min(cross(p, d) for p in verts)
-            total += m * price
-        return total
+    def step(length, d, g):
+        price = prices.get(d)
+        if price is None:
+            price = prices[d] = factor * min(cross(v, d) for v in verts)
+        return length + g * price
 
-    out = []
-    for k in range(kmax + 1):
-        if not buckets[k]:
-            raise AssertionError(f"no concave path with L_{domain.n} = {k}")
-        out.append(max(map(length, buckets[k])))
-    return CapacitySequence(out, scale)
+    def close(k, length):
+        if best[k] is None or length > best[k]:
+            best[k] = length
+
+    n = domain.n
+    # a path from M*(n,1) loses delta times its start's x
+    _enumerate_all(n, kmax, lambda m: -shift * m * n, step, close)
+    for k, length in enumerate(best):
+        if length is None:
+            raise AssertionError(f"no concave path with L_{n} = {k}")
+    return CapacitySequence(best, scale)
 
 
 class ObstructionReport(Record):

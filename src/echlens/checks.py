@@ -2,16 +2,16 @@
 
 The generator rejection-samples small rational vertex chains until they pass
 domain validation, so every draw is a genuine concave domain; a fixed seed
-makes the whole batch reproducible.
+makes the whole batch reproducible.  Draws are ints over one denominator,
+validated by the int chain check that parses domain files.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .capacities import capacities_via_oracle, capacities_via_weights
-from .domains import ConcaveDomain, validate_domain
+from .domains import ConcaveDomain, _from_ratios
 from .errors import DomainError
 from .record import Record
 
@@ -26,27 +26,29 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
         nn = n if n is not None else rng.randint(1, 4)
         den = rng.choice([1, 1, 1, 2, 3])
         top = max(1, (MAX_COORD * den) // nn)
-        a0 = Fraction(rng.randint(1, top), den)
+        a0 = rng.randint(1, top)  # the ray endpoint's height is a0/den
+        # interior x coordinates are halves, over s = 2*den
+        s = 2 * den
         extra = rng.randint(0, 2)
-        vertices = [(nn * a0, a0)]
+        vertices = [((nn * a0, den), (a0, den))]
         xs = set()
         for _ in range(extra):
             d = rng.choice([1, 2])
-            num = rng.randint(1, max(1, int(nn * a0 * d) - 1))
-            xs.add(Fraction(num, d))
+            num = rng.randint(1, max(1, nn * a0 * d // den - 1))
+            xs.add(num * (s // d))
         for x in sorted(xs, reverse=True):
-            if not 0 < x < nn * a0:
+            if x >= 2 * nn * a0:
                 continue
             d = rng.choice([1, 2])
-            lo = int(x * d // nn) + 1
+            lo = x * d // (nn * s) + 1
             hi = MAX_COORD * d
             if lo > hi:
                 continue
-            vertices.append((x, Fraction(rng.randint(lo, hi), d)))
+            vertices.append(((x, s), (rng.randint(lo, hi), d)))
         d = rng.choice([1, 2])
-        vertices.append((Fraction(0), Fraction(rng.randint(1, MAX_COORD * d), d)))
+        vertices.append(((0, 1), (rng.randint(1, MAX_COORD * d), d)))
         try:
-            return validate_domain(nn, vertices)
+            return _from_ratios(nn, vertices)
         except DomainError:
             continue
 
@@ -68,8 +70,9 @@ def run_check(trials: int, kmax: int, seed: int = DEFAULT_SEED) -> CheckResult:
         dom = random_concave_domain(rng)
         via_w = capacities_via_weights(dom, kmax)
         via_o = capacities_via_oracle(dom, kmax)
-        for k in range(kmax + 1):
-            if via_w[k] != via_o[k]:
+        # w / via_w.scale against o / via_o.scale, on ints
+        for k, (w, o) in enumerate(zip(via_w.ints, via_o.ints)):
+            if w * via_o.scale != o * via_w.scale:
                 return CheckResult(
                     trials=trials,
                     kmax=kmax,

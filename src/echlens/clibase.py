@@ -9,7 +9,7 @@ import argparse
 import sys
 from math import gcd
 
-from .geometry import format_ratio, parse_rational
+from .geometry import format_ratio, parse_ratio
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1  # the reader closed stdout, as Python exits on EPIPE
@@ -18,18 +18,21 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _rational(text: str):
+def _rational(text: str) -> tuple:
+    """The int pair (p, q), q > 0, of a `p` / `p/q` argument."""
     try:
-        return parse_rational(text)
+        return parse_ratio(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_rational(text: str):
-    value = _rational(text)
-    if value <= 0:
+    p, q = _rational(text)
+    if p <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+    from fractions import Fraction
+
+    return Fraction(p, q)
 
 
 def _nonneg_int(text: str) -> int:

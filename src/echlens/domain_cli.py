@@ -138,10 +138,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    from .capacities import capacities_via_oracle
+    from .capacities import oracle_ints
 
     domain = _load_domain(args.file)
-    seq = capacities_via_oracle(domain, args.kmax, delta=args.delta)
+    seq = oracle_ints(domain, args.kmax, *args.delta)
     _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     return EXIT_OK
 

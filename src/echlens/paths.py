@@ -3,9 +3,12 @@
 A path runs from a lattice point M*(n,1) on the ray to a lattice point on the
 y-axis, with leftward primitive edge directions of strictly increasing slope.
 This module holds what the oracle route runs: the path record, the enclosed
-lattice count L_n, and the enumeration of all paths up to a count (one cached
-search per n, in which each column's heights run from the slope bound to the
-first chain that cannot close within the count).  Paths given by a caller,
+lattice count L_n, and the one depth-first walk over all paths up to a count,
+in which each column's heights run from the slope bound to the first chain
+that cannot close within the count.  The walk holds no path: it carries a
+value down each chain (the oracle's running length) and hands it over as the
+path closes, so a walk holds its recursion and what its consumer keeps.  The
+buckets of all paths are collected from the same walk.  Paths given by a caller,
 corner corounding, homology classes, the combinatorial index of labeled
 generators and the path text form serve the index formulas, in index.py.
 """
@@ -66,9 +69,8 @@ def lattice_count(path: IntegralPath) -> int:
 # Exhaustive enumeration
 
 
-_ENUM_CACHE = {}  # n -> buckets of the largest kmax enumerated so far
-PATH_BUDGET = 1 << 17  # paths per enumeration; every n >= 24 has 109 016 with L_n <= 24
-# columns scanned per enumeration, which grow with n where paths do not:
+PATH_BUDGET = 1 << 17  # paths per walk; every n >= 24 has 109 016 with L_n <= 24
+# columns scanned per walk, which grow with n where paths do not:
 # (100, 24) scans 501 570 of them, n = 10**9 at kmax 1 a billion
 COLUMN_BUDGET = 1 << 21
 
@@ -80,9 +82,14 @@ def _completion_bound(n: int, x2, y2, dx, dy) -> int:
     return x2 * (y2 + 1) + geo.floor_sum(x2, -dx, -dy, dy * x2) + geo.floor_sum(x2, n, -1, 0)
 
 
-def _enumerate_all(n: int, kmax: int):
-    """All concave paths with L_n <= kmax, bucketed by L_n into tuples in
-    depth-first order.
+def _enumerate_all(n: int, kmax: int, begin, step, close):
+    """The one depth-first walk over the concave paths with L_n <= kmax,
+    which holds no path: each chain carries a value down the recursion next
+    to its running count.  A chain from M*(n,1) starts with begin(M), an
+    edge of g steps along the primitive direction d turns the value v into
+    step(v, d, g), and close(k, v) receives it when the path closes with
+    L_n = k; the empty path closes first, as close(0, begin(0)).  The paths
+    of each k close in the same order for every kmax.
 
     A path from M*(n,1) encloses the M ray points below its start, so
     M <= L_n.  Each new vertex lies strictly above the line of the previous
@@ -93,16 +100,17 @@ def _enumerate_all(n: int, kmax: int):
     bound exceeds kmax is dead.  Raising the new vertex in its column pivots
     the edge's line upward about the previous vertex, so the count and the
     bound both only grow with the height, and each column's heights run from
-    the slope bound to the first dead chain.  Building more than
-    PATH_BUDGET paths, or scanning more than COLUMN_BUDGET columns (each
-    call scans the x1 columns left of its vertex), raises ResourceLimit.
+    the slope bound to the first dead chain.  Closing more than PATH_BUDGET
+    paths, or scanning more than COLUMN_BUDGET columns (each call scans the
+    x1 columns left of its vertex), raises ResourceLimit; a negative kmax
+    raises ValueError.
     """
-    buckets = {k: [] for k in range(kmax + 1)}
-    buckets[0].append(empty_path(n))
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     found = 1
     columns = 0
 
-    def extend(start, x1, y1, edges, count, px, py):
+    def extend(x1, y1, value, count, px, py):
         nonlocal found, columns
         columns += x1
         if columns > COLUMN_BUDGET:
@@ -117,31 +125,33 @@ def _enumerate_all(n: int, kmax: int):
                 if new_count + _completion_bound(n, x2, y2, dx, dy) > kmax:
                     break
                 g = gcd(dx, dy)
-                new_edges = edges + (((dx // g, dy // g), g),)
+                new_value = step(value, (dx // g, dy // g), g)
                 if x2 == 0:
                     found += 1
                     if found > PATH_BUDGET:
                         raise ResourceLimit(
                             f"n={n}, kmax={kmax}: more paths than the budget of {PATH_BUDGET}"
                         )
-                    buckets[new_count].append(IntegralPath(n, start, new_edges))
+                    close(new_count, new_value)
                 else:
-                    extend(start, x2, y2, new_edges, new_count, dx, dy)
+                    extend(x2, y2, new_value, new_count, dx, dy)
                 y2 += 1
 
+    close(0, begin(0))
     for m in range(1, kmax + 1):
-        extend((m * n, m), m * n, m, (), 0, -n, -1)
-    return {k: tuple(bucket) for k, bucket in buckets.items()}
+        extend(m * n, m, begin(m), 0, -n, -1)
 
 
 def enumerate_paths_up_to(n: int, kmax: int):
-    """Buckets {k: paths with L_n = k} for all k <= kmax, in the enumeration's
-    depth-first order (the same for every kmax), read from one cached
-    enumeration per n; ResourceLimit past PATH_BUDGET paths or COLUMN_BUDGET
-    columns, caching nothing."""
-    if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
-    cached = _ENUM_CACHE.get(n)
-    if cached is None or len(cached) <= kmax:
-        cached = _ENUM_CACHE[n] = _enumerate_all(n, kmax)
-    return {k: cached[k] for k in range(kmax + 1)}
+    """Buckets {k: paths with L_n = k} for all k <= kmax, each in the walk's
+    depth-first order (the same for every kmax), collected from one walk;
+    ResourceLimit past PATH_BUDGET paths or COLUMN_BUDGET columns."""
+    buckets = {k: [] for k in range(kmax + 1)}
+    _enumerate_all(
+        n,
+        kmax,
+        lambda m: ((m * n, m), ()),
+        lambda chain, d, g: (chain[0], chain[1] + ((d, g),)),
+        lambda k, chain: buckets[k].append(IntegralPath(n, *chain)),
+    )
+    return {k: tuple(bucket) for k, bucket in buckets.items()}

@@ -9,6 +9,7 @@ from echlens.domains import validate_domain
 from echlens.errors import DomainError
 from echlens.geometry import cross, in_cone
 from echlens.index import boundary_height, make_path, path_from_vertices
+from echlens.paths import enumerate_paths_up_to
 
 
 def sequence_of(values):
@@ -154,6 +155,50 @@ def brute_path_length(domain, path):
         step = min(p[0] * dy - p[1] * dx for p in domain.vertices)
         total += mult * step
     return total
+
+
+def collected_oracle(domain, kmax, delta=0):
+    """c_0..c_kmax of the blow-up of size delta as Fractions: per k, the
+    largest per-step length, less delta times the start's x, over the
+    collected bucket of paths with L_n = k."""
+    buckets = enumerate_paths_up_to(domain.n, kmax)
+    return tuple(
+        max(brute_path_length(domain, p) - delta * p.start[0] for p in buckets[k])
+        for k in range(kmax + 1)
+    )
+
+
+def fraction_random_concave_domain(rng, n=None, max_coord=8):
+    """The domain sampler of echlens.checks on Fraction vertices, as it was
+    written before it drew ints: the same draws from rng, validated by
+    validate_domain."""
+    while True:
+        nn = n if n is not None else rng.randint(1, 4)
+        den = rng.choice([1, 1, 1, 2, 3])
+        top = max(1, (max_coord * den) // nn)
+        a0 = Fraction(rng.randint(1, top), den)
+        extra = rng.randint(0, 2)
+        vertices = [(nn * a0, a0)]
+        xs = set()
+        for _ in range(extra):
+            d = rng.choice([1, 2])
+            num = rng.randint(1, max(1, int(nn * a0 * d) - 1))
+            xs.add(Fraction(num, d))
+        for x in sorted(xs, reverse=True):
+            if not 0 < x < nn * a0:
+                continue
+            d = rng.choice([1, 2])
+            lo = int(x * d // nn) + 1
+            hi = max_coord * d
+            if lo > hi:
+                continue
+            vertices.append((x, Fraction(rng.randint(lo, hi), d)))
+        d = rng.choice([1, 2])
+        vertices.append((Fraction(0), Fraction(rng.randint(1, max_coord * d), d)))
+        try:
+            return validate_domain(nn, vertices)
+        except DomainError:
+            continue
 
 
 def fraction_weight_expansion(domain):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens import paths
+from echlens import capacities, paths
 from echlens.errors import (
     DeltaTooLarge,
     HomologyNotZero,
@@ -24,7 +24,9 @@ from helpers import (
     brute_floor_sum,
     brute_orbit_index,
     brute_path_length,
+    collected_oracle,
     floor_sum_by_periods,
+    fraction_random_concave_domain,
     lattice_index,
     naive_union,
     packing_closed_form,
@@ -305,22 +307,85 @@ class TestOracleRoute:
             e.capacities_via_oracle(B21, 9)
         with pytest.raises(ResourceLimit, match="budget"):
             e.enumerate_paths_up_to(2, 9)
-        # a refused enumeration caches nothing, and a smaller one still runs
-        assert paths._ENUM_CACHE == {}
+        # each call walks afresh: a refused walk leaves nothing behind, a
+        # smaller one still runs and the larger one is refused again
         assert e.capacities_via_oracle(B21, 8) == e.capacities_via_weights(B21, 8)
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(ResourceLimit, match="n=2, kmax=9: .*budget of 100"):
             e.capacities_via_oracle(B21, 9)
-        assert len(paths._ENUM_CACHE[2]) == 9
+        assert len(e.enumerate_paths_up_to(2, 8)) == 9
 
-    def test_column_budget_refuses_a_wide_cone_at_once(self, monkeypatch):
+    def test_column_budget_refuses_a_wide_cone_at_once(self):
         # two paths, but a billion columns left of the start (10**9, 1)
-        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
         wide = e.validate_domain(10**9, [(10**9, 1), (0, 1)])
         start = time.perf_counter()
         with pytest.raises(ResourceLimit, match=r"n=1000000000, kmax=1: .*columns"):
             e.capacities_via_oracle(wide, 1)
         assert time.perf_counter() - start < 1
-        assert paths._ENUM_CACHE == {}
+
+
+class TestStreamedOracle:
+    def test_equals_the_maximum_over_the_collected_buckets(self):
+        # n = 1..8, each at delta = 0 and two admissible delta > 0
+        rng = random.Random(26)
+        for n in range(1, 9):
+            for _ in range(2):
+                dom = e.random_concave_domain(rng, n=n)
+                cap = e.singular_ball_capacity(dom)
+                for delta in (0, cap / 4, cap * Fraction(6, 7)):
+                    seq = e.capacities_via_oracle(dom, 9, delta=delta)
+                    assert seq.values == collected_oracle(dom, 9, delta)
+                    ints = capacities.oracle_ints(dom, 9, delta.numerator, delta.denominator)
+                    assert ints == seq
+
+    @pytest.mark.parametrize(
+        "chain,n,kmax,paths_walked",
+        [
+            ([(5, 5), (0, 1)], 1, 58, 581353),
+            ([(8, 2), (3, 3), (0, 4)], 4, 40, 511724),
+        ],
+        ids=["n1-kmax58", "n4-kmax40"],
+    )
+    def test_equals_the_packing_route_past_the_budget(self, monkeypatch, chain, n, kmax,
+                                                       paths_walked):
+        # the walk holds no path, so its memory does not grow past the
+        # budget; the budget is raised to exactly the paths the walk closes
+        dom = e.validate_domain(n, chain)
+        monkeypatch.setattr(paths, "PATH_BUDGET", paths_walked)
+        assert e.capacities_via_oracle(dom, kmax) == e.capacities_via_weights(dom, kmax)
+
+    def test_negative_kmax_is_a_value_error(self):
+        for delta in (0, Fraction(1, 4)):
+            with pytest.raises(ValueError, match="kmax must be non-negative, got -1"):
+                e.capacities_via_oracle(B21, -1, delta=delta)
+        with pytest.raises(ValueError, match="kmax must be non-negative, got -2"):
+            capacities.oracle_ints(B21, -2, 0, 1)
+
+    def test_a_k_with_no_path_is_a_broken_invariant(self, monkeypatch):
+        # with every chain dead, only the empty path closes
+        monkeypatch.setattr(paths, "_completion_bound", lambda *args: 10**9)
+        assert e.capacities_via_oracle(B21, 0).ints == (0,)
+        with pytest.raises(AssertionError, match="no concave path with L_2 = 1"):
+            e.capacities_via_oracle(B21, 3)
+
+    def test_delta_text_is_in_lowest_terms(self):
+        for delta, text in ((Fraction(2, 2), "1"), (Fraction(-2, 4), "-1/2"), (3, "3")):
+            with pytest.raises(DeltaTooLarge, match=f"^delta={text} is not admissible"):
+                e.capacities_via_oracle(B21, 2, delta=delta)
+        with pytest.raises(DeltaTooLarge, match="^delta=-1/2 is not admissible"):
+            capacities.oracle_ints(B21, 2, -2, 4)
+        with pytest.raises(DeltaTooLarge, match="^delta=7/5 is not admissible"):
+            capacities.oracle_ints(B21, 2, 14, 10)
+
+
+class TestSampler:
+    def test_draws_the_domains_of_the_fraction_sampler(self):
+        for seed in range(200):
+            for n in (None, 1, 2, 3, 4):
+                ints, fractions = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    drawn = e.random_concave_domain(ints, n=n)
+                    assert drawn == fraction_random_concave_domain(fractions, n=n)
+                assert ints.getstate() == fractions.getstate()
 
 
 class TestBlowup:

@@ -216,6 +216,18 @@ def test_streamed_rows_peak_near_a_no_work_job():
     assert busy - idle <= 2048
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kB on Linux")
+def test_oracle_walk_peaks_near_a_no_work_job(tmp_path):
+    # the walk keeps kmax + 1 maxima, not its 120 707 paths; holding the
+    # paths in buckets peaked at 49 MB
+    dom = tmp_path / "ball.dom"
+    dom.write_text("n = 1\nvertices = (5,5) (0,1)\n")
+    idle = _peak_rss_kb(["ball", "--a", "1", "--kmax", "0"])
+    busy = _peak_rss_kb(["domain", str(dom), "--method", "oracle", "--kmax", "46"])
+    assert busy < 25 * 1024
+    assert busy - idle <= 2048
+
+
 def test_closed_stdout_exits_1_quietly():
     # `echlens ellipsoid ... | head -1`: the reader leaves after one row,
     # long before the job has written its 200 001 rows
@@ -378,9 +390,11 @@ class TestCheck:
 
 
 def _perturbed_oracle(domain, kmax):
-    values = list(capacities.capacities_via_oracle(domain, kmax).values)
-    values[1] += 1
-    return values
+    # c_k + 1 for every k >= 1, so the first disagreement is at k = 1
+    seq = capacities.capacities_via_oracle(domain, kmax)
+    return capacities.CapacitySequence(
+        [v + seq.scale if k else v for k, v in enumerate(seq.ints)], seq.scale
+    )
 
 
 class TestBlowup:

@@ -165,10 +165,13 @@ _BIG = "n = 2\nvertices = (12,6) (6,4) (0,4)\n"  # _DOMAIN scaled by 2
 # capacity routes, the index formulas nor the domain commands
 _SPECTRUM_NEVER = {"echlens.paths", "echlens.domains", "echlens.weights", "echlens.checks",
                    "echlens.capacities", "echlens.index", "echlens.domain_cli"}
-# the packing route, the weight expansion and what they print are ints over
-# one denominator: their jobs build no Fraction, so they load no path code
-# and not fractions, nor decimal and numbers, which fractions imports
-_PACKING_NEVER = {"echlens.paths", "echlens.index", "fractions", "decimal", "numbers"}
+# every route that reads a domain file or samples domains computes and
+# prints ints over one denominator, and so does --delta's parse: their jobs
+# build no Fraction, so they load not fractions, nor decimal and numbers,
+# which fractions imports; the oracle route never loads the index formulas
+_ORACLE_NEVER = {"echlens.index", "fractions", "decimal", "numbers"}
+# nor does a packing job load path code
+_PACKING_NEVER = _ORACLE_NEVER | {"echlens.paths"}
 # (argv, the module the job runs, the modules it must not load), where {dom}
 # and {big} are domain files; no job loads dataclasses or inspect
 _JOBS = [
@@ -178,14 +181,15 @@ _JOBS = [
      "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
     (["bijectivity", "--n", "2", "--a", "1", "--b", "233/144", "--layers", "1"],
      "echlens.bijectivity", _SPECTRUM_NEVER),
-    # the oracle route enumerates paths but never loads the index formulas
-    (["domain", "{dom}", "--method", "oracle", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
-    (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
-    (["check", "--trials", "1", "--kmax", "2"], "echlens.paths", {"echlens.index"}),
+    (["domain", "{dom}", "--method", "oracle", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
+    (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
+    (["check", "--trials", "1", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
     (["domain", "{dom}", "--method", "weights", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
     (["weights", "{dom}"], "echlens.weights", _PACKING_NEVER),
     # the source is twice the target, so the report prints violations
     (["obstruct", "{big}", "{dom}", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
+    # the routes agree, so the job prints DIFF: none and builds no Fraction
+    (["domain", "{dom}", "--method", "both", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
 ]
 
 
@@ -204,4 +208,6 @@ def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
     assert runs in loaded
     if argv[0] == "obstruct":
         assert result.stdout.startswith("violation at k=1: 8 > 4\n")
+    if "both" in argv:
+        assert "DIFF: none\n" in result.stdout
     assert not loaded & ({"dataclasses", "inspect"} | unwanted)

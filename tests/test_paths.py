@@ -117,7 +117,6 @@ class TestCountKernels:
 
         for kernel in kernels:
             monkeypatch.setattr(paths, kernel.__name__, recording(kernel))
-        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
         for n in (1, 2, 3, 4):
             e.enumerate_paths_up_to(n, 16)
         for kernel, brute in kernels.items():
@@ -192,7 +191,7 @@ class TestEnumeration:
         # widening the range of starting multiples must not discover new paths
         for n in (1, 2, 3, 4):
             for k in range(4):
-                assert paths._enumerate_all(n, k + 2)[k] == paths._enumerate_all(n, k)[k]
+                assert e.enumerate_paths_up_to(n, k + 2)[k] == e.enumerate_paths_up_to(n, k)[k]
 
     def test_totals_match_the_unpruned_enumerator(self):
         for (n, kmax), total in UNPRUNED_TOTALS.items():
@@ -202,7 +201,7 @@ class TestEnumeration:
     def test_prune_does_not_depend_on_kmax(self):
         for n in (1, 2, 3, 4):
             for k in range(11):
-                assert paths._enumerate_all(n, k + 4)[k] == paths._enumerate_all(n, k)[k]
+                assert e.enumerate_paths_up_to(n, k + 4)[k] == e.enumerate_paths_up_to(n, k)[k]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -211,19 +210,40 @@ class TestEnumeration:
     def test_column_budget_counts_the_columns_left_of_each_vertex(self, monkeypatch):
         # at kmax 1 the one call from (n, 1) scans its n columns and no more
         monkeypatch.setattr(paths, "COLUMN_BUDGET", 1000)
-        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
         assert [len(b) for b in e.enumerate_paths_up_to(1000, 1).values()] == [1, 1]
         with pytest.raises(ResourceLimit, match="n=1001, kmax=1: .*budget of 1000"):
             e.enumerate_paths_up_to(1001, 1)
-        assert list(paths._ENUM_CACHE) == [1000]
+        # each call walks afresh, so the refused walk leaves nothing behind
+        assert [len(b) for b in e.enumerate_paths_up_to(1000, 1).values()] == [1, 1]
 
-    def test_one_cache_entry_per_n(self, monkeypatch):
-        monkeypatch.setattr(paths, "_ENUM_CACHE", {})
+    def test_smaller_kmax_is_a_prefix(self):
         small = e.enumerate_paths_up_to(2, 3)
         large = e.enumerate_paths_up_to(2, 5)
-        assert list(paths._ENUM_CACHE) == [2] and len(paths._ENUM_CACHE[2]) == 6
+        assert len(small) == 4 and len(large) == 6
         assert e.enumerate_paths_up_to(2, 3) == small
         assert {k: large[k] for k in range(4)} == small
+
+    def test_path_budget_counts_every_closed_path(self, monkeypatch):
+        # n = 2 closes 91 paths at kmax 8, the empty path among them
+        monkeypatch.setattr(paths, "PATH_BUDGET", 91)
+        assert sum(map(len, e.enumerate_paths_up_to(2, 8).values())) == 91
+        monkeypatch.setattr(paths, "PATH_BUDGET", 90)
+        with pytest.raises(ResourceLimit, match="n=2, kmax=8: more paths than the budget of 90"):
+            e.enumerate_paths_up_to(2, 8)
+
+    def test_walk_carries_each_chain_value_to_its_close(self):
+        # a consumer that carries a chain's lattice steps gets, in the
+        # collector's order, the step counts of the collected paths
+        for n in (1, 2, 3, 4):
+            closed = {k: [] for k in range(9)}
+            paths._enumerate_all(
+                n, 8, lambda m: 0, lambda v, d, g: v + g, lambda k, v: closed[k].append(v)
+            )
+            steps = {
+                k: [sum(m for _, m in p.edges) for p in bucket]
+                for k, bucket in e.enumerate_paths_up_to(n, 8).items()
+            }
+            assert closed == steps
 
 
 class TestCoround:
