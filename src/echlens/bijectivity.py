@@ -8,12 +8,12 @@ index module's domain or path code, so it does not import it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 
 from .ellipsoid import ellipsoid_ints
 from .errors import ResourceLimit
+from .geometry import format_ratio
 
 INDEX_MULTIPLICITY_BUDGET = 1 << 20
 
@@ -23,15 +23,22 @@ def _orbit_set_count(n: int, layers: int) -> int:
     return (layers + 1) * (n * layers + 2) // 2
 
 
-def _rotation_floors(phi, m: int, shift: int):
+def _rotation_floors(p: int, q: int, m: int, shift: int):
     """Prefix sums of (i*p - shift) // q over 1 <= i <= j for j = 0..m, with
-    phi = p/q: orbit_set_index's floor sums for every multiplicity up to m."""
-    p, q = phi.numerator, phi.denominator
+    phi = p/q, q > 0, not necessarily in lowest terms (shift is 0 or 1):
+    orbit_set_index's floor sums for every multiplicity up to m."""
     return list(accumulate(((i * p - shift) // q for i in range(1, m + 1)), initial=0))
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
-    """Check that the index is a bijection onto the even numbers at desk scale.
+    """bijectivity_ints on E_n(a, b), for ints or Fractions a and b, over
+    their common denominator."""
+    return bijectivity_ints(n, *ellipsoid_ints(n, a, b), kmax_layers)
+
+
+def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
+    """Check that the index of E_n(ia/d, ib/d), n, ia, ib, d >= 1, is a
+    bijection onto the even numbers at desk scale.
 
     Considers every orbit set in layers r + s = k*n for k <= kmax_layers
     (count T of them) and verifies that the T smallest indices over all
@@ -49,7 +56,6 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
     ResourceLimit before any work.
     """
-    ia, ib, d = ellipsoid_ints(n, a, b)
     if kmax_layers < 0:
         raise ValueError("layer count must be non-negative")
     target_count = _orbit_set_count(n, kmax_layers)
@@ -63,15 +69,15 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
     top_r, top_s = max(top, u_max // ia), max(top, u_max // ib)
     if max(top_r, top_s) > INDEX_MULTIPLICITY_BUDGET:
         raise ResourceLimit(
-            f"orbit sets of a={Fraction(ia, d)}, b={Fraction(ib, d)} up to layer "
+            f"orbit sets of a={format_ratio(ia, d)}, b={format_ratio(ib, d)} up to layer "
             f"{u_max // (n * min(ia, ib))} can enter the window of {kmax_layers} "
             f"layers; their multiplicities reach "
             f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
     # E_n(a, b)'s rotation numbers; floors_plus[r] is orbit_set_index's
     # phi_plus floor sum at multiplicity r
-    floors_plus = _rotation_floors(Fraction(ia - ib, n * ib), top_r, 1)
-    floors_minus = _rotation_floors(Fraction(ib - ia, n * ia), top_s, 0)
+    floors_plus = _rotation_floors(ia - ib, n * ib, top_r, 1)
+    floors_minus = _rotation_floors(ib - ia, n * ia, top_s, 0)
 
     # the orbit sets (r + s a multiple of n) of the layers, r + s <= top, and
     # the later ones with a*r + b*s within u_max, each priced by the index of
@@ -85,8 +91,7 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
 
     entries.sort()
     certificate = entries[:target_count]
-    indices = [i for i, _ in certificate]
-    ok = indices == list(range(0, 2 * target_count, 2))
+    ok = [i for i, _ in certificate] == list(range(0, 2 * target_count, 2))
     return ok, certificate
 
 
@@ -98,7 +103,9 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
     layers = 1
     while _orbit_set_count(n, layers) < count:
         layers += 1
-    ok, certificate = index_bijectivity_check(n, a, b, layers)
+    ok, certificate = bijectivity_ints(n, ia, ib, d, layers)
     if not ok:
         raise AssertionError(f"index of E_{n}({a}, {b}) is not bijective on {layers} layers")
+    from fractions import Fraction
+
     return [Fraction(ia * r + ib * s, d) for _, (r, s) in certificate[:count]]

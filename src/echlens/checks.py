@@ -54,7 +54,8 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
 
 
 class CheckResult(Record):
-    # failure: (trial, k, weights_value, oracle_value, domain), or None
+    # failure: (trial, k, weights sequence, oracle sequence, domain), the
+    # first k at which the two sequences differ, or None
     __slots__ = ("trials", "kmax", "seed", "failure")
 
     @property
@@ -77,6 +78,6 @@ def run_check(trials: int, kmax: int, seed: int = DEFAULT_SEED) -> CheckResult:
                     trials=trials,
                     kmax=kmax,
                     seed=seed,
-                    failure=(trial, k, via_w[k], via_o[k], dom),
+                    failure=(trial, k, via_w, via_o, dom),
                 )
     return CheckResult(trials=trials, kmax=kmax, seed=seed, failure=None)

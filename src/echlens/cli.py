@@ -22,6 +22,7 @@ from .clibase import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    _add_ellipsoid_parameters,
     _add_format_flags,
     _nonneg_int,
     _positive_int,
@@ -32,13 +33,11 @@ from .errors import EchLensError, ResourceLimit
 
 # every other module is imported in the handlers that run it: a ball or
 # ellipsoid job compiles the generator module alone, a bijectivity job the
-# bijectivity module
+# bijectivity module; their rationals are int pairs, so none imports fractions
 
 
 def _ellipsoid_arguments(p):
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--a", type=_positive_rational, required=True)
-    p.add_argument("--b", type=_positive_rational, required=True)
+    _add_ellipsoid_parameters(p)
     p.add_argument("--kmax", type=_nonneg_int, default=10)
     _add_format_flags(p)
 
@@ -51,35 +50,27 @@ def _ball_arguments(p):
 
 
 def _bijectivity_arguments(p):
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--a", type=_positive_rational, required=True)
-    p.add_argument("--b", type=_positive_rational, required=True)
+    _add_ellipsoid_parameters(p)
     p.add_argument("--layers", type=_nonneg_int, default=4)
 
 
-def _stream_ellipsoid(args, a, b) -> int:
-    """The rows of E_n(a, b) straight from the generator heap: a written
-    row is not kept, so memory is the heap's, not kmax's."""
-    from .ellipsoid import ellipsoid_ints, ellipsoid_values
+def cmd_ellipsoid(args) -> int:
+    """The rows of E_n(a, b), or of the ball E_n(a, a), straight from the
+    generator heap: a written row is not kept, so memory is the heap's, not
+    kmax's."""
+    from .ellipsoid import ellipsoid_values, ratio_ints
 
-    ia, ib, scale = ellipsoid_ints(args.n, a, b)
+    ia, ib, scale = ratio_ints(args.a, getattr(args, "b", args.a))
     rows = islice(ellipsoid_values(args.n, ia, ib), args.kmax + 1)
     _render_rows(rows, scale, args.format, args.decimal)
     return EXIT_OK
 
 
-def cmd_ellipsoid(args) -> int:
-    return _stream_ellipsoid(args, args.a, args.b)
-
-
-def cmd_ball(args) -> int:
-    return _stream_ellipsoid(args, args.a, args.a)
-
-
 def cmd_bijectivity(args) -> int:
-    from .bijectivity import index_bijectivity_check
+    from .bijectivity import bijectivity_ints
+    from .ellipsoid import ratio_ints
 
-    ok, certificate = index_bijectivity_check(args.n, args.a, args.b, args.layers)
+    ok, certificate = bijectivity_ints(args.n, *ratio_ints(args.a, args.b), args.layers)
     write = sys.stdout.write
     write("index  r  s\n")
     for index, (r, s) in certificate:
@@ -103,7 +94,7 @@ _HELP = {
 # command -> (add its arguments, run it); domain_cli.COMMANDS has the rest
 _COMMANDS = {
     "ellipsoid": (_ellipsoid_arguments, cmd_ellipsoid),
-    "ball": (_ball_arguments, cmd_ball),
+    "ball": (_ball_arguments, cmd_ellipsoid),
     "bijectivity": (_bijectivity_arguments, cmd_bijectivity),
 }
 

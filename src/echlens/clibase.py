@@ -26,13 +26,13 @@ def _rational(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_rational(text: str):
+def _positive_rational(text: str) -> tuple:
+    """The int pair (p, q) in lowest terms, p, q > 0, of a positive argument."""
     p, q = _rational(text)
     if p <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    from fractions import Fraction
-
-    return Fraction(p, q)
+    g = gcd(p, q)
+    return p // g, q // g
 
 
 def _nonneg_int(text: str) -> int:
@@ -82,6 +82,12 @@ def _render_rows(ints, scale: int, fmt: str, decimal):
             write(f"{k},{v // g},{scale // g}\n")
         else:
             write(f"{k}  {format_ratio(v, scale)}\n")
+
+
+def _add_ellipsoid_parameters(parser):
+    parser.add_argument("--n", type=_positive_int, required=True)
+    parser.add_argument("--a", type=_positive_rational, required=True)
+    parser.add_argument("--b", type=_positive_rational, required=True)
 
 
 def _add_format_flags(parser):

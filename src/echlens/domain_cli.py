@@ -7,14 +7,14 @@ from __future__ import annotations
 from .clibase import (
     EXIT_INTERNAL,
     EXIT_OK,
+    _add_ellipsoid_parameters,
     _add_format_flags,
     _nonneg_int,
     _positive_int,
-    _positive_rational,
     _rational,
     _render_rows,
 )
-from .geometry import format_point, format_ratio, format_rational
+from .geometry import format_point, format_ratio
 
 
 def _load_domain(path: str):
@@ -57,9 +57,7 @@ def _obstruct_arguments(p):
 def _index_arguments(p):
     isub = p.add_subparsers(dest="index_kind", required=True)
     pe = isub.add_parser("ellipsoid", help="orbit set e+^r e-^s on the ellipsoid boundary")
-    pe.add_argument("--n", type=_positive_int, required=True)
-    pe.add_argument("--a", type=_positive_rational, required=True)
-    pe.add_argument("--b", type=_positive_rational, required=True)
+    _add_ellipsoid_parameters(pe)
     pe.add_argument("--r", type=_nonneg_int, required=True)
     pe.add_argument("--s", type=_nonneg_int, required=True)
     po = isub.add_parser("orbit", help="general orbit set over a concave domain")
@@ -93,9 +91,9 @@ def cmd_domain(args) -> int:
         weights, oracle = results["weights"], results["oracle"]
         if weights != oracle:
             parts = ", ".join(
-                f"k={k}: {format_rational(weights[k])} vs {format_rational(oracle[k])}"
-                for k in range(args.kmax + 1)
-                if weights[k] != oracle[k]
+                f"k={k}: {format_ratio(w, weights.scale)} vs {format_ratio(o, oracle.scale)}"
+                for k, (w, o) in enumerate(zip(weights.ints, oracle.ints))
+                if w * oracle.scale != o * weights.scale
             )
             print(f"DIFF: {parts}")
             return EXIT_INTERNAL
@@ -126,10 +124,10 @@ def cmd_check(args) -> int:
     if result.passed:
         print(f"PASS trials={result.trials} kmax={result.kmax}")
         return EXIT_OK
-    trial, k, wv, ov, dom = result.failure
+    trial, k, weights, oracle, dom = result.failure
     print(
-        f"FAIL trial={trial} k={k} weights={format_rational(wv)} "
-        f"oracle={format_rational(ov)}"
+        f"FAIL trial={trial} k={k} weights={format_ratio(weights.ints[k], weights.scale)} "
+        f"oracle={format_ratio(oracle.ints[k], oracle.scale)}"
     )
     # the failing domain as a domain file, for `echlens domain F --method both`
     print(f"n = {dom.n}")
@@ -167,7 +165,11 @@ def cmd_index(args) -> int:
     from .paths import empty_path
 
     if args.index_kind == "ellipsoid":
-        value = idx.ellipsoid_orbit_index(args.n, args.a, args.b, args.r, args.s)
+        from .ellipsoid import ratio_ints
+
+        # the int pairs over their common denominator: the index reads b/a alone
+        ia, ib, _ = ratio_ints(args.a, args.b)
+        value = idx.ellipsoid_orbit_index(args.n, ia, ib, args.r, args.s)
     else:
         domain = _load_domain(args.file)
         if args.path is None:

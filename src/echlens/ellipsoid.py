@@ -18,8 +18,15 @@ def ellipsoid_ints(n: int, a, b):
         raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
         raise NonPositivePeriod(f"n must be a positive integer, got {n}")
-    d = lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    return ratio_ints((a.numerator, a.denominator), (b.numerator, b.denominator))
+
+
+def ratio_ints(a, b):
+    """(ia, ib, d) with ia/d = pa/qa and ib/d = pb/qb, d = lcm(qa, qb), for
+    int pairs a = (pa, qa) and b = (pb, qb), q > 0: what the CLI parses to."""
+    (pa, qa), (pb, qb) = a, b
+    d = lcm(qa, qb)
+    return pa * (d // qa), pb * (d // qb), d
 
 
 def ellipsoid_values(n: int, ia: int, ib: int):

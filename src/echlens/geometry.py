@@ -32,7 +32,8 @@ def parse_rational(text: str):
 
 
 def format_ratio(p: int, q: int) -> str:
-    """The rational p/q, for ints p and q > 0, as `p` or `p/q` in lowest terms."""
+    """The rational p/q, for ints p and q > 0, as `p` or `p/q` in lowest
+    terms: the text of str(Fraction(p, q))."""
     g = gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
 

@@ -61,8 +61,8 @@ def make_path(n: int, start, edges) -> IntegralPath:
     return path
 
 
-def path_from_vertices(n: int, verts) -> IntegralPath:
-    """Build a path from a chain of lattice vertices, collapsing to primitive edges."""
+def _edges(verts) -> tuple:
+    """The primitive edges of a chain of lattice vertices, collinear runs merged."""
     edges = []
     for u, v in zip(verts, verts[1:]):
         dx, dy = v[0] - u[0], v[1] - u[1]
@@ -74,7 +74,12 @@ def path_from_vertices(n: int, verts) -> IntegralPath:
             edges[-1] = (d, edges[-1][1] + g)
         else:
             edges.append((d, g))
-    return make_path(n, verts[0] if verts else (0, 0), tuple(edges))
+    return tuple(edges)
+
+
+def path_from_vertices(n: int, verts) -> IntegralPath:
+    """Build a path from a chain of lattice vertices, collapsing to primitive edges."""
+    return make_path(n, verts[0] if verts else (0, 0), _edges(verts))
 
 
 def homology_class(w, n: int):
@@ -195,7 +200,9 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
     neighbours v - da and v + db on its edges (da, db primitive) changes: the
     lower hull of the lowest lattice point on or above the boundary in each
     of its columns, one higher at v, replaces v.  The result never has
-    smaller length and never a smaller L_n than the input."""
+    smaller length and never a smaller L_n than the input.  The input chain
+    is checked; the result is built from it unchecked, as the hull keeps it
+    concave and in the cone."""
     verts = path.vertices()
     if not 1 <= vertex_index <= len(verts) - 2:
         raise InvalidVertex(f"vertex index {vertex_index} is not an interior vertex")
@@ -212,10 +219,13 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
         ) <= 0:
             hull.pop()
         hull.append(pt)
-    # from the ray to the y-axis; a neighbour on an edge of multiplicity 1 is
-    # already a vertex of the path
-    chain = verts[:vertex_index] + hull[::-1] + verts[vertex_index + 1 :]
-    return path_from_vertices(path.n, [p for p, q in zip(chain, [None, *chain]) if p != q])
+    # the hull, right to left, between the vertices before and after the
+    # corner (a neighbour on an edge of multiplicity 1 is that vertex); the
+    # path turns at both, so no run of edges merges across them
+    local = [verts[vertex_index - 1], *hull[::-1], verts[vertex_index + 1]]
+    edges = _edges([p for p, q in zip(local, [None, *local]) if p != q])
+    edges = path.edges[: vertex_index - 1] + edges + path.edges[vertex_index + 1 :]
+    return IntegralPath(path.n, path.start, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens import capacities, paths
+from echlens import bijectivity, capacities, ellipsoid, paths
 from echlens.errors import (
     DeltaTooLarge,
     HomologyNotZero,
@@ -347,8 +347,10 @@ class TestStreamedOracle:
     )
     def test_equals_the_packing_route_past_the_budget(self, monkeypatch, chain, n, kmax,
                                                        paths_walked):
-        # the walk holds no path, so its memory does not grow past the
-        # budget; the budget is raised to exactly the paths the walk closes
+        # the walk holds no path, so its memory does not grow with the
+        # budget; the default budget admits both walks, and set to exactly
+        # the paths the walk closes it pins their count
+        assert paths_walked <= paths.PATH_BUDGET
         dom = e.validate_domain(n, chain)
         monkeypatch.setattr(paths, "PATH_BUDGET", paths_walked)
         assert e.capacities_via_oracle(dom, kmax) == e.capacities_via_weights(dom, kmax)
@@ -719,6 +721,41 @@ class TestBijectivity:
         for a, b in ((0, 1), (1, 0), (-1, 2), (2, Fraction(-1, 3))):
             with pytest.raises(NonPositivePeriod):
                 e.index_bijectivity_check(2, a, b, 3)
+
+    def test_int_core_equals_the_rational_check(self):
+        # the CLI's int core, ints over a common denominator that need not
+        # be the least, and Fractions give one certificate
+        pairs = [(1, FIB), (3, 3), (Fraction(2, 3), Fraction(5, 7)), (Fraction(7, 4), 2)]
+        for n in range(1, 5):
+            for a, b in pairs:
+                layers = 12 // n
+                expected = e.index_bijectivity_check(n, a, b, layers)
+                assert expected[0]
+                d = 6 * Fraction(a).denominator * Fraction(b).denominator
+                ia, ib = int(a * d), int(b * d)
+                assert bijectivity.bijectivity_ints(n, ia, ib, d, layers) == expected
+                assert e.index_bijectivity_check(n, Fraction(a), Fraction(b), layers) == expected
+                # the index reads b/a alone
+                assert e.index_bijectivity_check(n, ia, ib, layers) == expected
+
+    def test_budget_refusal_text(self):
+        # the rationals print in lowest terms, as str(Fraction) printed them
+        cases = [
+            ((1, Fraction(1, 3), Fraction(7000001, 6), 3),
+             "orbit sets of a=1/3, b=7000001/6 up to layer 3500018 can enter the window of 3 "
+             "layers; their multiplicities reach 3500018, over the budget of 1048576"),
+            ((2, 3, 5000000, 1),
+             "orbit sets of a=3, b=5000000 up to layer 1666669 can enter the window of 1 "
+             "layers; their multiplicities reach 3333339, over the budget of 1048576"),
+        ]
+        for (n, a, b, layers), message in cases:
+            with pytest.raises(ResourceLimit) as exc:
+                e.index_bijectivity_check(n, a, b, layers)
+            assert str(exc.value) == message
+            ia, ib, d = ellipsoid.ellipsoid_ints(n, a, b)
+            with pytest.raises(ResourceLimit) as exc:
+                bijectivity.bijectivity_ints(n, 2 * ia, 2 * ib, 2 * d, layers)
+            assert str(exc.value) == message
 
     def test_spectrum_reproduces_generator(self):
         for n in (1, 2):

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 import subprocess
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from echlens import capacities, checks, cli, ellipsoid, geometry, weights
+from echlens import capacities, checks, cli, clibase, ellipsoid, geometry, weights
 from echlens.domains import parse_domain_file
 from helpers import ball_closed_form, brute_floor_sum, lattice_index, perturbed, pick_lattice_count
 
@@ -143,6 +144,24 @@ class TestBall:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert f"argument --a: not a rational literal with q > 0: '{text}'" in err
+
+
+class TestRationalArguments:
+    @pytest.mark.parametrize("text,pair", [("1", (1, 1)), ("4/6", (2, 3)), ("3/007", (3, 7)),
+                                           ("10/4", (5, 2)), ("0012/08", (3, 2))])
+    def test_positive_rational_is_a_pair_in_lowest_terms(self, text, pair):
+        assert clibase._positive_rational(text) == pair
+
+    @pytest.mark.parametrize("text,message", [
+        ("0", "must be positive, got 0"),
+        ("-1", "must be positive, got -1"),
+        ("1/0", "not a rational literal with q > 0: '1/0'"),
+        ("x", "not a rational literal with q > 0: 'x'"),
+    ])
+    def test_positive_rational_rejects(self, text, message):
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            clibase._positive_rational(text)
+        assert str(info.value) == message
 
 
 # (n, a, b): balls with and without a common factor over their scale, and

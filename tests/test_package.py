@@ -162,9 +162,12 @@ print(" ".join(sorted(set(sys.modules) - base)))
 _DOMAIN = "n = 2\nvertices = (6,3) (3,2) (0,2)\n"
 _BIG = "n = 2\nvertices = (12,6) (6,4) (0,4)\n"  # _DOMAIN scaled by 2
 # an E_n(a, b) job loads no domain, weight, path or check code, neither the
-# capacity routes, the index formulas nor the domain commands
+# capacity routes, the index formulas nor the domain commands; it parses --a
+# and --b to int pairs and prints ints, so it builds no Fraction and loads
+# not fractions, nor decimal and numbers, which fractions imports
 _SPECTRUM_NEVER = {"echlens.paths", "echlens.domains", "echlens.weights", "echlens.checks",
-                   "echlens.capacities", "echlens.index", "echlens.domain_cli"}
+                   "echlens.capacities", "echlens.index", "echlens.domain_cli",
+                   "fractions", "decimal", "numbers"}
 # every route that reads a domain file or samples domains computes and
 # prints ints over one denominator, and so does --delta's parse: their jobs
 # build no Fraction, so they load not fractions, nor decimal and numbers,

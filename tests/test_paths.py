@@ -283,6 +283,19 @@ class TestCoround:
                         cases += 1
         assert cases > 1000
 
+    def test_result_is_the_checked_path_of_its_vertices(self):
+        # the result is built unchecked; path_from_vertices checks its chain
+        # and collapses it to the same edges, so every run merged is merged
+        cases = 0
+        for n in (1, 2, 3, 4):
+            for bucket in e.enumerate_paths_up_to(n, 13).values():
+                for p in bucket:
+                    for i in range(1, len(p.vertices()) - 1):
+                        q = e.coround_corner(p, i)
+                        assert e.path_from_vertices(n, q.vertices()) == q
+                        cases += 1
+        assert cases == 4185
+
     def test_matches_the_whole_span_hull_on_random_paths(self):
         # n up to 30, multiplicities up to 6, primitive widths up to 7
         rng = random.Random(25)
