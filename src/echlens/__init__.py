@@ -19,27 +19,17 @@ _EXPORTS = {
     ),
     "bijectivity": ("index_bijectivity_check", "spectrum_from_orbit_indices"),
     "checks": ("CheckResult", "random_concave_domain", "run_check"),
-    "domains": (
-        "ConcaveDomain",
-        "domain_area",
-        "omega_length_edge",
-        "parse_domain_file",
-        "scale_domain",
-        "singular_ball_capacity",
-        "validate_domain",
-    ),
+    "domains": ("ConcaveDomain", "domain_area", "parse_domain_file", "validate_domain"),
     "ellipsoid": (),
     "errors": ("EchLensError",),
-    "geometry": ("cross", "format_rational", "in_cone", "parse_rational"),
+    "geometry": ("cross", "in_cone"),
     "index": (
         "ConcaveGenerator",
         "OrbitSetDescriptor",
         "RotationNumbers",
-        "boundary_height",
         "coround_corner",
         "ellipsoid_orbit_index",
         "generator_index",
-        "homology_class",
         "make_path",
         "orbit_set_index",
         "parse_path_text",
@@ -48,7 +38,7 @@ _EXPORTS = {
         "rotation_numbers",
     ),
     "paths": ("IntegralPath", "empty_path", "enumerate_paths_up_to", "lattice_count"),
-    "weights": ("WeightExpansion", "singular_weight_expansion", "split_domain"),
+    "weights": ("WeightExpansion", "singular_weight_expansion"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

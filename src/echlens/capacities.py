@@ -77,6 +77,8 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
     repetitions: the first kmax+1 of ellipsoid.ellipsoid_values.  The
     singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
     ia, ib, scale = ellipsoid_ints(n, a, b)
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     return CapacitySequence(list(islice(ellipsoid_values(n, ia, ib), kmax + 1)), scale)
 
 
@@ -126,12 +128,12 @@ def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> Capacity
 
 
 def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySequence:
-    """capacities_via_oracle at delta = p/q, q > 0, on ints.  One walk of
-    paths.PATH_BUDGET paths at most carries each chain's running length and
-    keeps only the kmax + 1 maxima.  omega_length_edge depends only on the
-    primitive direction d, so each direction met is priced once, as
-    min cross(v, d) over the int vertices v, over the LCM of the domain's
-    and delta's denominators, and a length is an int sum."""
+    """capacities_via_oracle at delta = p/q, q > 0, on ints, by one walk of
+    at most paths.PATH_BUDGET paths that keeps only the kmax + 1 maxima.  An
+    edge along the leftward primitive d has length min cross(v, d) over the
+    boundary vertices v, the operational form of the supporting-line
+    definition that fixes every sign convention downstream; each d met is
+    priced once, over the LCM of the domain's and delta's denominators."""
     from .paths import _enumerate_all
 
     verts = domain.ints

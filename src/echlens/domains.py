@@ -1,15 +1,12 @@
-"""Concave toric domains over the cone V_n and the length of lattice edges.
+"""Concave toric domains over the cone V_n.
 
 A domain is described by the vertex chain of its upper boundary, traversed
 from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  This
-module validates, parses, scales and measures such chains: area, singular
-ball capacity and edge length.  A chain is stored, and a domain file parsed,
-as int vertices over one denominator.  The length of a leftward
-lattice edge v is min_p cross(p, v) over boundary vertices p; this
-min-formula is the operational form of the supporting-line definition and
-fixes every sign convention downstream.  The rotation numbers of a domain's
-exceptional orbits, which serve only the index formulas, and the boundary
-height, which no route reads, are in index.py.
+module validates and parses such chains and measures their area.  A chain
+is stored, and a domain file parsed, as int vertices over one denominator.
+Edge lengths are priced by the oracle route (capacities.oracle_ints), and
+the rotation numbers of the exceptional orbits, which serve only the index
+formulas, are in index.py.
 """
 
 from __future__ import annotations
@@ -21,12 +18,9 @@ from .errors import (
     ComplementNotConvex,
     EmptyBoundary,
     EndpointNotOnRay,
-    NonPositiveScale,
     NotGraphOfFunction,
     ParseError,
     VertexOutsideCone,
-    WrongOrientation,
-    ZeroEdge,
 )
 from .record import Record
 
@@ -58,10 +52,6 @@ def _from_ratios(n: int, points) -> ConcaveDomain:
     scale = lcm(*(q for point in points for _, q in point))
     ints = [tuple(p * (scale // q) for p, q in point) for point in points]
     _check_chain(n, ints, scale)
-    return _lowest_terms(n, ints, scale)
-
-
-def _lowest_terms(n: int, ints, scale: int) -> ConcaveDomain:
     g = gcd(scale, *(c for v in ints for c in v))
     return ConcaveDomain(n, tuple((x // g, y // g) for x, y in ints), scale // g)
 
@@ -92,29 +82,6 @@ def _check_chain(n: int, verts, scale: int):
             raise ComplementNotConvex(
                 f"edge slopes not strictly decreasing at {fmt(e1, scale)} -> {fmt(e2, scale)}"
             )
-
-
-def omega_length_edge(domain: ConcaveDomain, v):
-    """Length of the single lattice edge v; v must point leftward (v.x <= 0)."""
-    if v == (0, 0):
-        raise ZeroEdge("zero vector has no length")
-    if v[0] > 0:
-        raise WrongOrientation(f"edge {v} must have non-positive x-component")
-    return min(geo.cross(p, v) for p in domain.vertices)
-
-
-def singular_ball_capacity(domain: ConcaveDomain):
-    """Largest a with the singular ball B_n(a) included in the domain: the
-    triangle of size a fits exactly when it stays under the lowest vertex."""
-    return min(y for _, y in domain.vertices)
-
-
-def scale_domain(domain: ConcaveDomain, r) -> ConcaveDomain:
-    if r <= 0:
-        raise NonPositiveScale(f"scale factor must be positive, got {r}")
-    p = r.numerator
-    ints = [(x * p, y * p) for x, y in domain.ints]
-    return _lowest_terms(domain.n, ints, domain.scale * r.denominator)
 
 
 def _twice_area(domain: ConcaveDomain) -> int:

@@ -37,19 +37,11 @@ class ZeroEdge(PathError):
     pass
 
 
-class WrongOrientation(PathError):
-    pass
-
-
 class MismatchedN(EchLensError):
     pass
 
 
 class DeltaTooLarge(EchLensError):
-    pass
-
-
-class NonPositiveScale(EchLensError):
     pass
 
 

@@ -1,7 +1,7 @@
 """Exact 2D primitives: rational scalars, cross products, cone tests, parsing.
 
-Rationals are parsed to, and printed from, int pairs (p, q) with q > 0;
-library callers get exact `fractions.Fraction`s or ints.  Nothing rounds.
+Rationals are parsed to, and printed from, int pairs (p, q) with q > 0.
+Nothing rounds.
 """
 
 from __future__ import annotations
@@ -24,23 +24,11 @@ def parse_ratio(text: str) -> tuple:
     return int(p), int(q or 1)
 
 
-def parse_rational(text: str):
-    """The `p` / `p/q` rational syntax as an exact Fraction."""
-    from fractions import Fraction
-
-    return Fraction(*parse_ratio(text))
-
-
 def format_ratio(p: int, q: int) -> str:
     """The rational p/q, for ints p and q > 0, as `p` or `p/q` in lowest
     terms: the text of str(Fraction(p, q))."""
     g = gcd(p, q)
     return str(p // g) if g == q else f"{p // g}/{q // g}"
-
-
-def format_rational(value) -> str:
-    """An int or Fraction as `p` or `p/q`."""
-    return format_ratio(value.numerator, value.denominator)
 
 
 def format_point(p, scale: int = 1) -> str:

@@ -4,9 +4,8 @@ One formula, orbit_set_index, prices an orbit set with exceptional-orbit
 powers over a concave domain; the ellipsoid index is that formula on the
 ellipsoid's triangle.  Around it live what it and `index orbit` need beyond
 the oracle's path code (paths.py): labeled generators and the paths a caller
-gives, homology classes, the combinatorial index of a generator, the
-rotation numbers of the exceptional orbits, corner corounding, the path
-text form and the boundary height, a public query that no route reads.  The
+gives, the combinatorial index of a generator, the rotation numbers of the
+exceptional orbits, corner corounding and the path text form.  The
 bijectivity check (bijectivity.py) prices the same index for every orbit set
 of E_n(a, b) in a window.
 """
@@ -80,14 +79,6 @@ def _edges(verts) -> tuple:
 def path_from_vertices(n: int, verts) -> IntegralPath:
     """Build a path from a chain of lattice vertices, collapsing to primitive edges."""
     return make_path(n, verts[0] if verts else (0, 0), _edges(verts))
-
-
-def homology_class(w, n: int):
-    """Unique (l, k1, k2) with 0 <= l < n and w + l*(-1,0) = k1*(n,1) + k2*(0,1)."""
-    l = w[0] % n
-    k1 = (w[0] - l) // n
-    k2 = w[1] - k1
-    return l, k1, k2
 
 
 def generator_index(gen: ConcaveGenerator) -> int:
@@ -175,23 +166,6 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
 
 # ---------------------------------------------------------------------------
 # Corounding the corner
-
-
-def boundary_height(domain: ConcaveDomain, x):
-    """Exact height of the upper boundary over abscissa x (0 <= x <= start.x)."""
-    from fractions import Fraction
-
-    x = Fraction(x)
-    verts = domain.vertices
-    if not (0 <= x <= verts[0][0]):
-        raise ValueError(f"x={x} outside the boundary's span")
-    for u, v in zip(verts, verts[1:]):
-        if v[0] <= x <= u[0]:
-            if u[0] == v[0]:
-                return max(u[1], v[1])
-            t = (x - v[0]) / (u[0] - v[0])
-            return v[1] + t * (u[1] - v[1])
-    raise AssertionError("unreachable: x inside span but no edge found")
 
 
 def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:

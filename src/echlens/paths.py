@@ -9,8 +9,8 @@ that cannot close within the count.  The walk holds no path: it carries a
 value down each chain (the oracle's running length) and hands it over as the
 path closes, so a walk holds its recursion and what its consumer keeps.  The
 buckets of all paths are collected from the same walk.  Paths given by a caller,
-corner corounding, homology classes, the combinatorial index of labeled
-generators and the path text form serve the index formulas, in index.py.
+corner corounding, the combinatorial index of labeled generators and the
+path text form serve the index formulas, in index.py.
 """
 
 from __future__ import annotations
@@ -104,9 +104,11 @@ def _enumerate_all(n: int, kmax: int, begin, step, close):
     bound both only grow with the height, and each column's heights run from
     the slope bound to the first dead chain.  Closing more than PATH_BUDGET
     paths, or scanning more than COLUMN_BUDGET columns (each call scans the
-    x1 columns left of its vertex), raises ResourceLimit; a negative kmax
-    raises ValueError.
+    x1 columns left of its vertex), raises ResourceLimit; n < 1 or a
+    negative kmax raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if kmax < 0:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     found = 1

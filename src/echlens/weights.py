@@ -11,7 +11,7 @@ terminates for rational input, and is refused past PEEL_BUDGET weights.
 
 from __future__ import annotations
 
-from .domains import ConcaveDomain, _check_chain, _lowest_terms, _twice_area
+from .domains import ConcaveDomain, _check_chain, _twice_area
 from .errors import DomainError, ResourceLimit
 from .geometry import format_ratio
 from .record import Record
@@ -36,11 +36,13 @@ class WeightExpansion(Record):
         return tuple(Fraction(w, self.scale) for w in self.plain)
 
 
-def split_domain(domain: ConcaveDomain):
-    """Peel the largest inscribed singular-ball triangle.
+def _peel(n: int, verts, scale: int):
+    """Peel the largest inscribed singular-ball triangle off the int chain
+    `verts` in V_n.
 
-    Returns (a, left_piece, right_piece); a piece is None when empty.  Both
-    pieces are domains in V_1, each carried there by a unimodular map:
+    Returns (a, left, right), a the triangle's size; a piece is None when
+    empty.  All are ints over `scale`.  Both pieces are chains in V_1, each
+    carried there by a unimodular map:
 
     - left: the chain from the last lowest vertex on, by
       (x, y) -> (x, x + y - a), which takes the quadrant x >= 0, y >= a
@@ -52,15 +54,6 @@ def split_domain(domain: ConcaveDomain):
     A piece that fails validation is a broken invariant (AssertionError),
     not bad input.
     """
-    from fractions import Fraction
-
-    s = domain.scale
-    a, *pieces = _peel(domain.n, domain.ints, s)
-    return Fraction(a, s), *(None if p is None else _lowest_terms(1, p, s) for p in pieces)
-
-
-def _peel(n: int, verts, scale: int):
-    # split_domain on an int chain: a and the pieces are ints over its scale
     heights = [y for _, y in verts]
     a = min(heights)
     first = heights.index(a)

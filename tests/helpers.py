@@ -8,7 +8,7 @@ from echlens.capacities import CapacitySequence
 from echlens.domains import validate_domain
 from echlens.errors import DomainError
 from echlens.geometry import cross, in_cone
-from echlens.index import boundary_height, make_path, path_from_vertices
+from echlens.index import make_path, path_from_vertices
 from echlens.paths import enumerate_paths_up_to
 
 
@@ -92,6 +92,22 @@ def brute_completion_bound(n, x2, y2, dx, dy):
     return sum(max(0, y2 + (dy * (c - x2)) // dx + 1 + (-c) // n) for c in range(x2))
 
 
+def boundary_height(domain, x):
+    """Exact height of the upper boundary over abscissa x, 0 <= x <= start.x."""
+    x = Fraction(x)
+    verts = domain.vertices
+    for u, v in zip(verts, verts[1:]):
+        if v[0] <= x <= u[0]:
+            return v[1] + (x - v[0]) / (u[0] - v[0]) * (u[1] - v[1])
+    raise ValueError(f"x={x} outside the boundary's span")
+
+
+def omega_length(domain, v):
+    """Length of the leftward lattice edge v: min cross(p, v) over the
+    domain's Fraction vertices p."""
+    return min(cross(p, v) for p in domain.vertices)
+
+
 def contains_point(domain, p):
     """Membership of the point p in the closed domain."""
     if not in_cone(p, domain.n):
@@ -150,11 +166,7 @@ def random_concave_path(rng, n, max_mult=6, max_width=7):
 
 def brute_path_length(domain, path):
     """Omega-length recomputed per unit step instead of per direction."""
-    total = Fraction(0)
-    for (dx, dy), mult in path.edges:
-        step = min(p[0] * dy - p[1] * dx for p in domain.vertices)
-        total += mult * step
-    return total
+    return sum((mult * omega_length(domain, d) for d, mult in path.edges), Fraction(0))
 
 
 def collected_oracle(domain, kmax, delta=0):

@@ -10,7 +10,12 @@ from fractions import Fraction
 
 import echlens as e
 from echlens import cli
-from helpers import brute_combination_sequence, brute_path_length, packing_closed_form
+from helpers import (
+    brute_combination_sequence,
+    brute_path_length,
+    omega_length,
+    packing_closed_form,
+)
 
 FIB = Fraction(233, 144)
 
@@ -64,7 +69,7 @@ def test_a4_route_agreement_and_a5_first_capacity():
         if via_w.values != via_o.values:
             mismatch = (dom, via_w.values, via_o.values)
             break
-        if via_w[1] != dom.n * e.singular_ball_capacity(dom):
+        if via_w[1] != dom.n * min(y for _, y in dom.vertices):
             a5_ok = False
         expansion = e.singular_weight_expansion(dom)  # area identity asserted inside
         total = Fraction(dom.n) * expansion.singular_weight**2 / 2 + sum(
@@ -99,10 +104,7 @@ def test_a6_property_suites():
         v1 = (-rng.randint(1, 6), rng.randint(-6, 6))
         v2 = (-rng.randint(1, 6), rng.randint(-6, 6))
         total = (v1[0] + v2[0], v1[1] + v2[1])
-        if (
-            e.omega_length_edge(dom, v1) + e.omega_length_edge(dom, v2)
-            <= e.omega_length_edge(dom, total)
-        ):
+        if omega_length(dom, v1) + omega_length(dom, v2) <= omega_length(dom, total):
             superadd += 1
 
     pairs = []
@@ -140,8 +142,8 @@ def test_a6_property_suites():
         base = e.capacities_via_weights(dom, 5)
         for r in (Fraction(1, 3), 2, Fraction(7, 5)):
             conformal_total += 1
-            scaled = e.capacities_via_weights(e.scale_domain(dom, r), 5)
-            if scaled.values == tuple(r * v for v in base.values):
+            scaled = e.validate_domain(dom.n, [(r * x, r * y) for x, y in dom.vertices])
+            if e.capacities_via_weights(scaled, 5).values == tuple(r * v for v in base.values):
                 conformal += 1
 
     ok = (

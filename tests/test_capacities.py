@@ -106,6 +106,12 @@ class TestEllipsoidSequence:
         with pytest.raises(NonPositivePeriod):
             e.ellipsoid_sequence(0, 1, 1, 5)
 
+    @pytest.mark.parametrize("kmax", [-1, -3])
+    def test_negative_kmax_message(self, kmax):
+        # -3 failed inside islice with its own message
+        with pytest.raises(ValueError, match=f"^kmax must be non-negative, got {kmax}$"):
+            e.ellipsoid_sequence(1, 1, 1, kmax)
+
     def test_large_kmax_is_cheap(self):
         seq = e.ellipsoid_sequence(3, 1, Fraction(8, 5), 20000)
         assert len(seq) == 20001
@@ -221,8 +227,9 @@ class TestWeightsRoute:
             dom = e.random_concave_domain(rng)
             base = e.capacities_via_weights(dom, 6)
             for r in (Fraction(1, 3), 2, Fraction(7, 5)):
-                scaled = e.capacities_via_weights(e.scale_domain(dom, r), 6)
-                assert scaled.values == tuple(r * v for v in base.values)
+                scaled = e.validate_domain(dom.n, [(r * x, r * y) for x, y in dom.vertices])
+                expected = tuple(r * v for v in base.values)
+                assert e.capacities_via_weights(scaled, 6).values == expected
 
 
 class TestWeylLaw:
@@ -288,7 +295,7 @@ class TestOracleRoute:
             buckets = e.enumerate_paths_up_to(n, 10)
             for _ in range(3):
                 dom = e.random_concave_domain(rng, n=n)
-                cap = e.singular_ball_capacity(dom)
+                cap = min(y for _, y in dom.vertices)
                 for delta in (0, cap / 3, cap * Fraction(5, 7)):
                     seq = e.capacities_via_oracle(dom, 10, delta=delta)
                     scales.add(seq.scale)
@@ -330,7 +337,7 @@ class TestStreamedOracle:
         for n in range(1, 9):
             for _ in range(2):
                 dom = e.random_concave_domain(rng, n=n)
-                cap = e.singular_ball_capacity(dom)
+                cap = min(y for _, y in dom.vertices)
                 for delta in (0, cap / 4, cap * Fraction(6, 7)):
                     seq = e.capacities_via_oracle(dom, 9, delta=delta)
                     assert seq.values == collected_oracle(dom, 9, delta)
@@ -389,6 +396,26 @@ class TestSampler:
                     assert drawn == fraction_random_concave_domain(fractions, n=n)
                 assert ints.getstate() == fractions.getstate()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_n_draws_nothing(self, n):
+        # 0 divided by zero and -1 retried forever; a child process bounds the wait
+        script = (
+            "import random, sys\n"
+            "from echlens.checks import random_concave_domain\n"
+            "rng = random.Random(1)\n"
+            "state = rng.getstate()\n"
+            "try:\n"
+            f"    random_concave_domain(rng, {n})\n"
+            "except ValueError as exc:\n"
+            f"    sys.exit(str(exc) != 'n must be a positive integer, got {n}'"
+            " or rng.getstate() != state)\n"
+            "sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(e.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+        assert done.returncode == 0
+
 
 class TestBlowup:
     def test_delta_zero(self):
@@ -419,17 +446,20 @@ class TestBlowup:
 
 
 class TestSingularBallCapacity:
+    # the largest singular ball B_n(a) in a domain stays under its lowest
+    # vertex; the packing route peels it as the singular weight
     def test_self_inclusion(self):
-        assert e.singular_ball_capacity(B21) == 1
+        assert e.singular_weight_expansion(B21).singular_weight == 1
 
     def test_example(self):
-        assert e.singular_ball_capacity(EXAMPLE) == 2
+        assert e.singular_weight_expansion(EXAMPLE).singular_weight == 2
 
     def test_c1_identity(self):
         rng = random.Random(6)
         for _ in range(30):
             dom = e.random_concave_domain(rng)
-            assert e.capacities_via_weights(dom, 1)[1] == dom.n * e.singular_ball_capacity(dom)
+            lowest = min(y for _, y in dom.vertices)
+            assert e.capacities_via_weights(dom, 1)[1] == dom.n * lowest
 
 
 class TestObstructionReport:

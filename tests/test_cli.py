@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from echlens import capacities, checks, cli, clibase, ellipsoid, geometry, weights
+from echlens import capacities, checks, cli, clibase, ellipsoid, weights
 from echlens.domains import parse_domain_file
 from helpers import ball_closed_form, brute_floor_sum, lattice_index, perturbed, pick_lattice_count
 
@@ -102,7 +102,7 @@ class TestEllipsoid:
         _, table, _ = run(capsys, argv)
         _, csv, _ = run(capsys, argv + ["--format", "csv"])
         assert table.splitlines()[1:] == [
-            f"{k}  {geometry.format_rational(v)}" for k, v in enumerate(values)
+            f"{k}  {v}" for k, v in enumerate(values)
         ]
         assert csv.splitlines()[1:] == [
             f"{k},{v.numerator},{v.denominator}" for k, v in enumerate(values)
@@ -134,7 +134,7 @@ class TestBall:
         assert ball == ellipsoid
         closed = ball_closed_form(Fraction(7, 4), 200, n)
         assert ball[1] == "k  c_k\n" + "".join(
-            f"{k}  {geometry.format_rational(v)}\n" for k, v in enumerate(closed)
+            f"{k}  {v}\n" for k, v in enumerate(closed)
         )
 
     @pytest.mark.parametrize("text", ["1/0", "3/00"])

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import echlens as e
 from echlens import paths
@@ -125,14 +123,6 @@ class TestCountKernels:
                 assert kernel(*args) == brute(*args), args
 
 
-class TestHomology:
-    @given(st.integers(0, 40), st.integers(-20, 20), st.integers(1, 5))
-    def test_roundtrip(self, x, y, n):
-        l, k1, k2 = e.homology_class((x, y), n)
-        assert 0 <= l < n
-        assert (x - l, y) == (k1 * n, k1 + k2)
-
-
 class TestGeneratorIndex:
     def test_all_elliptic(self):
         p = e.make_path(2, (2, 1), (((-2, 1), 1),))
@@ -206,6 +196,12 @@ class TestEnumeration:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             e.enumerate_paths_up_to(2, -1)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_rejects_non_positive_n(self, n):
+        # it returned the empty path at k = 0 and nothing above
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+            e.enumerate_paths_up_to(n, 3)
 
     def test_column_budget_counts_the_columns_left_of_each_vertex(self, monkeypatch):
         # at kmax 1 the one call from (n, 1) scans its n columns and no more

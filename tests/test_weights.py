@@ -13,7 +13,12 @@ from echlens.errors import (
     ResourceLimit,
     VertexOutsideCone,
 )
-from helpers import contains_point, fraction_weight_expansion, large_denominator_domain
+from helpers import (
+    boundary_height,
+    contains_point,
+    fraction_weight_expansion,
+    large_denominator_domain,
+)
 
 
 def standard(vertices):
@@ -43,25 +48,31 @@ class TestValidateStandard:
             standard(vertices)
 
 
+def peel(dom):
+    """weights._peel on the domain's ints: (a, left, right), each piece an
+    int chain over the domain's scale, as a tuple to compare with .ints."""
+    a, *pieces = weights._peel(dom.n, dom.ints, dom.scale)
+    return (a, *(None if p is None else tuple(p) for p in pieces))
+
+
 class TestSplitDomain:
     def test_triangle_base_case(self):
         dom = e.validate_domain(2, [(4, 2), (0, 2)])
-        a, left, right = e.split_domain(dom)
-        assert (a, left, right) == (2, None, None)
+        assert peel(dom) == (2, None, None)
 
     def test_left_piece_only(self):
         dom = e.validate_domain(2, [(4, 2), (2, 2), (0, 3)])
-        a, left, right = e.split_domain(dom)
+        a, left, right = peel(dom)
         assert a == 2
-        assert left == standard([(2, 0), (0, 1)])  # the y-axis side, dropped by a
+        assert left == standard([(2, 0), (0, 1)]).ints  # the y-axis side, dropped by a
         assert right is None
 
     def test_right_piece_only(self):
         dom = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
-        a, left, right = e.split_domain(dom)
+        a, left, right = peel(dom)
         assert a == 2
         assert left is None
-        assert right == standard([(1, 0), (0, 1)])
+        assert right == standard([(1, 0), (0, 1)]).ints
 
     def test_peel_maps_keep_area_and_land_on_the_rays(self):
         # at every split of every expansion, the triangle and the two mapped
@@ -74,14 +85,15 @@ class TestSplitDomain:
                 work = [e.random_concave_domain(rng, n=n)]
                 while work:
                     dom = work.pop()
-                    a, *pieces = e.split_domain(dom)
-                    pieces = [p for p in pieces if p is not None]
-                    assert e.domain_area(dom) == dom.n * a * a / 2 + sum(
+                    a, *pieces = peel(dom)
+                    # the pieces' ints are over dom.scale, in any terms
+                    pieces = [e.ConcaveDomain(1, p, dom.scale) for p in pieces if p is not None]
+                    assert e.domain_area(dom) == Fraction(dom.n * a * a, 2 * dom.scale**2) + sum(
                         (e.domain_area(p) for p in pieces), Fraction(0)
                     )
                     for p in pieces:
-                        (x0, y0), (x1, y1) = p.vertices[0], p.vertices[-1]
-                        assert p.n == 1 and x0 == y0 > 0 and x1 == 0 < y1
+                        (x0, y0), (x1, y1) = p.ints[0], p.ints[-1]
+                        assert x0 == y0 > 0 and x1 == 0 < y1
                     work.extend(pieces)
                     splits += 1
         assert splits > 200
@@ -89,21 +101,20 @@ class TestSplitDomain:
 
 class TestSplitStandard:
     def test_ball(self):
-        a, left, right = e.split_domain(standard([(3, 0), (0, 3)]))
-        assert (a, left, right) == (3, None, None)
+        assert peel(standard([(3, 0), (0, 3)])) == (3, None, None)
 
     def test_ellipsoid_21(self):
-        a, left, right = e.split_domain(standard([(2, 0), (0, 1)]))
+        a, left, right = peel(standard([(2, 0), (0, 1)]))
         assert a == 1
         assert left is None
-        assert right == standard([(1, 0), (0, 1)])
+        assert right == standard([(1, 0), (0, 1)]).ints
 
     def test_corner_touch(self):
         # the supporting line x+y=a meets the boundary at a single vertex
-        a, left, right = e.split_domain(standard([(3, 0), (1, 1), (0, 3)]))
+        a, left, right = peel(standard([(3, 0), (1, 1), (0, 3)]))
         assert a == 2
-        assert left == standard([(1, 0), (0, 1)])
-        assert right == standard([(1, 0), (0, 1)])
+        assert left == standard([(1, 0), (0, 1)]).ints
+        assert right == standard([(1, 0), (0, 1)]).ints
 
 
 def expand_standard(vertices):
@@ -121,7 +132,7 @@ class TestStandardExpansion:
 
     def test_empty(self):
         # a triangle leaves no piece, so no plain weight
-        assert e.split_domain(standard([(5, 0), (0, 5)]))[1:] == (None, None)
+        assert peel(standard([(5, 0), (0, 5)]))[1:] == (None, None)
         assert e.singular_weight_expansion(standard([(5, 0), (0, 5)])).plain_weights == ()
 
 
@@ -174,7 +185,8 @@ class TestSingularExpansion:
             dom = e.random_concave_domain(rng)
             w = e.singular_weight_expansion(dom)
             for r in (Fraction(1, 3), 2, Fraction(7, 5)):
-                ws = e.singular_weight_expansion(e.scale_domain(dom, r))
+                scaled = e.validate_domain(dom.n, [(r * x, r * y) for x, y in dom.vertices])
+                ws = e.singular_weight_expansion(scaled)
                 assert ws.singular_weight == r * w.singular_weight
                 assert ws.plain_weights == tuple(r * x for x in w.plain_weights)
 
@@ -187,7 +199,7 @@ class TestSingularExpansion:
             # the triangle of size w0 fits: its top edge stays under the boundary
             for x, _ in dom.vertices:
                 if x <= n * w0:
-                    assert e.boundary_height(dom, x) >= w0
+                    assert boundary_height(dom, x) >= w0
             # any larger triangle pokes out above the lowest boundary vertex
             t = w0 + Fraction(1, 7)
             x_low = min(
