@@ -85,6 +85,8 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
 def union_sequence(sequences, kmax: int) -> CapacitySequence:
     """Iterated max-plus convolution (disjoint-union capacities), exact on
     ints scaled by the LCM of the denominators."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be non-negative, got {kmax}")
     seqs = list(sequences)
     if not seqs:
         raise InsufficientLength("need at least one sequence")

@@ -4,26 +4,29 @@ Exit codes: 0 success, 1 stdout closed by its reader, 2 usage/parse/validation
 errors, 3 resource budget exceeded, 4 internal invariant violation.  All
 output is deterministic: identical invocations produce byte-identical output.
 
-A job builds the parser of its own command alone.  The E_n(a, b) commands
-live here; the commands that read domain files live in domain_cli, which
-only their jobs and the full parser import.
+Each command's arguments are one spec.  A well-formed job is parsed from
+its spec alone and never imports argparse; help and usage errors go to the
+argparse parser of the named command alone, built from the same spec.  The
+E_n(a, b) commands live here; the commands that read domain files live in
+domain_cli, which only their jobs and the full parser import.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from .clibase import (
+    _ELLIPSOID_PARAMETERS,
+    _FORMAT_FLAGS,
     EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    _add_ellipsoid_parameters,
-    _add_format_flags,
+    _arg,
     _nonneg_int,
     _positive_int,
     _positive_rational,
@@ -35,23 +38,14 @@ from .errors import EchLensError, ResourceLimit
 # ellipsoid job compiles the generator module alone, a bijectivity job the
 # bijectivity module; their rationals are int pairs, so none imports fractions
 
-
-def _ellipsoid_arguments(p):
-    _add_ellipsoid_parameters(p)
-    p.add_argument("--kmax", type=_nonneg_int, default=10)
-    _add_format_flags(p)
-
-
-def _ball_arguments(p):
-    p.add_argument("--a", type=_positive_rational, required=True)
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--kmax", type=_nonneg_int, default=10)
-    _add_format_flags(p)
-
-
-def _bijectivity_arguments(p):
-    _add_ellipsoid_parameters(p)
-    p.add_argument("--layers", type=_nonneg_int, default=4)
+_ELLIPSOID = (*_ELLIPSOID_PARAMETERS, _arg("--kmax", type=_nonneg_int, default=10), *_FORMAT_FLAGS)
+_BALL = (
+    _arg("--a", type=_positive_rational, required=True),
+    _arg("--n", type=_positive_int, default=1),
+    _arg("--kmax", type=_nonneg_int, default=10),
+    *_FORMAT_FLAGS,
+)
+_BIJECTIVITY = (*_ELLIPSOID_PARAMETERS, _arg("--layers", type=_nonneg_int, default=4))
 
 
 def cmd_ellipsoid(args) -> int:
@@ -91,11 +85,11 @@ _HELP = {
     "index": "ECH index of an orbit set",
     "bijectivity": "index-bijectivity certificate for E_n(a,b)",
 }
-# command -> (add its arguments, run it); domain_cli.COMMANDS has the rest
+# command -> (the spec of its arguments, run it); domain_cli.COMMANDS has the rest
 _COMMANDS = {
-    "ellipsoid": (_ellipsoid_arguments, cmd_ellipsoid),
-    "ball": (_ball_arguments, cmd_ellipsoid),
-    "bijectivity": (_bijectivity_arguments, cmd_bijectivity),
+    "ellipsoid": (_ELLIPSOID, cmd_ellipsoid),
+    "ball": (_BALL, cmd_ellipsoid),
+    "bijectivity": (_BIJECTIVITY, cmd_bijectivity),
 }
 
 
@@ -107,9 +101,72 @@ def _command(name: str):
     return COMMANDS[name]
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.  The latter
-    spells out every command in its usage line, as the full parser does."""
+def _value(keywords: dict, text: str):
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(f"invalid choice: {text!r}")
+    return value
+
+
+def _parse_fast(spec, argv):
+    """The namespace argparse makes of `argv`, a command and then the
+    arguments of its spec, when every positional comes before every option
+    and each option is given at most once, as its exact name and then its
+    value; None for any other argv, and for a value its type or choices
+    refuse.  main leaves those to argparse, which parses or reports them."""
+    given = {}  # name -> (its keywords, its text)
+    options = {}  # the options not given yet, by name
+    at = 1
+    pending = list(spec)
+    while pending:
+        name, keywords = pending.pop(0)
+        if name.startswith("-"):
+            options[name] = keywords
+            continue
+        if at == len(argv) or argv[at].startswith("-"):
+            return None
+        text = argv[at]
+        at += 1
+        if "kinds" in keywords:
+            if text not in keywords["kinds"]:
+                return None
+            pending += keywords["kinds"][text][1]
+            keywords = {}
+        given[name] = keywords, text
+    rest = argv[at:]
+    if len(rest) % 2:
+        return None
+    for name, text in zip(rest[::2], rest[1::2]):
+        if name not in options or text.startswith("-"):
+            return None
+        given[name] = options.pop(name), text
+    if any(keywords.get("required") for keywords in options.values()):
+        return None
+    args = {name: keywords.get("default") for name, keywords in options.items()}
+    try:
+        args.update((name, _value(keywords, text)) for name, (keywords, text) in given.items())
+    except Exception:  # whatever a type function raises, argparse reports
+        return None
+    dests = {name.lstrip("-").replace("-", "_"): value for name, value in args.items()}
+    return SimpleNamespace(command=argv[0], **dests)
+
+
+def _add_arguments(parser, spec):
+    for name, keywords in spec:
+        if "kinds" in keywords:
+            sub = parser.add_subparsers(dest=name, required=True)
+            for kind, (help_text, kind_spec) in keywords["kinds"].items():
+                _add_arguments(sub.add_parser(kind, help=help_text), kind_spec)
+        else:
+            parser.add_argument(name, **keywords)
+
+
+def build_parser(command=None):
+    """The argparse parser of every command, or of `command` alone, built
+    from their specs.  The latter spells out every command in its usage
+    line, as the full parser does."""
+    import argparse  # only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="echlens",
         description="Exact ECH capacities of concave toric domains in the "
@@ -122,18 +179,25 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text in _HELP.items():
         if command in (None, name):
-            _command(name)[0](sub.add_parser(name, help=help_text))
+            _add_arguments(sub.add_parser(name, help=help_text), _command(name)[0])
     return parser
+
+
+def _decimal_with_csv(args) -> bool:
+    return getattr(args, "decimal", None) is not None and args.format == "csv"
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a first word that names no command is an error or --help of the
     # top-level parser, whose help lists every command
-    parser = build_parser(argv[0] if argv and argv[0] in _HELP else None)
-    args = parser.parse_args(argv)
-    if getattr(args, "decimal", None) is not None and args.format == "csv":
-        parser.error("--decimal approximates the table format; --format csv is exact")
+    command = argv[0] if argv and argv[0] in _HELP else None
+    args = None if command is None else _parse_fast(_command(command)[0], argv)
+    if args is None or _decimal_with_csv(args):
+        parser = build_parser(command)
+        args = parser.parse_args(argv)
+        if _decimal_with_csv(args):
+            parser.error("--decimal approximates the table format; --format csv is exact")
     try:
         code = _command(args.command)[1](args)
         sys.stdout.flush()  # so a reader that left early shows here

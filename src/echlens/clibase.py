@@ -1,11 +1,10 @@
 """What both command modules share: the exit codes, the argument types,
-the format flags and the row renderer.  cli and domain_cli import them from
-here, not domain_cli from cli, so `python -m echlens.cli` compiles cli.py
-once, as __main__."""
+the spec of the shared arguments and the row renderer.  cli and domain_cli
+import them from here, not domain_cli from cli, so `python -m echlens.cli`
+compiles cli.py once, as __main__."""
 
 from __future__ import annotations
 
-import argparse
 import sys
 from math import gcd
 
@@ -18,19 +17,26 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
+def _type_error(message: str):
+    # argparse loads only with a bad argument, which it reports
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _rational(text: str) -> tuple:
     """The int pair (p, q), q > 0, of a `p` / `p/q` argument."""
     try:
         return parse_ratio(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _type_error(str(exc)) from None
 
 
 def _positive_rational(text: str) -> tuple:
     """The int pair (p, q) in lowest terms, p, q > 0, of a positive argument."""
     p, q = _rational(text)
     if p <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise _type_error(f"must be positive, got {text}")
     g = gcd(p, q)
     return p // g, q // g
 
@@ -38,14 +44,14 @@ def _positive_rational(text: str) -> tuple:
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+        raise _type_error(f"must be non-negative, got {text}")
     return value
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise _type_error(f"must be positive, got {text}")
     return value
 
 
@@ -84,18 +90,26 @@ def _render_rows(ints, scale: int, fmt: str, decimal):
             write(f"{k}  {format_ratio(v, scale)}\n")
 
 
-def _add_ellipsoid_parameters(parser):
-    parser.add_argument("--n", type=_positive_int, required=True)
-    parser.add_argument("--a", type=_positive_rational, required=True)
-    parser.add_argument("--b", type=_positive_rational, required=True)
+def _arg(name: str, **keywords) -> tuple:
+    """One argument of a command's spec, in the terms of argparse's
+    add_argument: a name without a leading "-" is a positional.  The
+    keyword `kinds`, {kind: (help, spec)}, makes the positional name a
+    subcommand whose kinds take arguments of their own."""
+    return name, keywords
 
 
-def _add_format_flags(parser):
-    parser.add_argument("--format", choices=["table", "csv"], default="table")
-    parser.add_argument(
+_ELLIPSOID_PARAMETERS = (
+    _arg("--n", type=_positive_int, required=True),
+    _arg("--a", type=_positive_rational, required=True),
+    _arg("--b", type=_positive_rational, required=True),
+)
+_FORMAT_FLAGS = (
+    _arg("--format", choices=["table", "csv"], default="table"),
+    _arg(
         "--decimal",
         type=_positive_int,
         default=None,
         metavar="DIGITS",
         help="approximate table rendering, rounded half-even (marked with ~)",
-    )
+    ),
+)

@@ -1,14 +1,16 @@
-"""The commands that read domain files or sample domains: their arguments
-and handlers.  cli imports this module only for their jobs and for the
-full parser, so an E_n(a, b) job never compiles it."""
+"""The commands that read domain files or sample domains: the specs of
+their arguments and their handlers.  cli imports this module only for
+their jobs and for the full parser, so an E_n(a, b) job never compiles
+it."""
 
 from __future__ import annotations
 
 from .clibase import (
+    _ELLIPSOID_PARAMETERS,
+    _FORMAT_FLAGS,
     EXIT_INTERNAL,
     EXIT_OK,
-    _add_ellipsoid_parameters,
-    _add_format_flags,
+    _arg,
     _nonneg_int,
     _positive_int,
     _rational,
@@ -24,51 +26,46 @@ def _load_domain(path: str):
         return parse_domain_file(handle.read())
 
 
-def _domain_arguments(p):
-    p.add_argument("file")
-    p.add_argument("--kmax", type=_nonneg_int, default=8)
-    p.add_argument("--method", choices=["weights", "oracle", "both"], default="both")
-    _add_format_flags(p)
-
-
-def _weights_arguments(p):
-    p.add_argument("file")
-
-
-def _check_arguments(p):
-    p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--kmax", type=_nonneg_int, default=8)
-    p.add_argument("--seed", type=int, default=None)  # None: checks.DEFAULT_SEED
-
-
-def _blowup_arguments(p):
-    p.add_argument("file")
-    p.add_argument("--delta", type=_rational, required=True)
-    p.add_argument("--kmax", type=_nonneg_int, default=8)
-    _add_format_flags(p)
-
-
-def _obstruct_arguments(p):
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--kmax", type=_nonneg_int, default=8)
-
-
-def _index_arguments(p):
-    isub = p.add_subparsers(dest="index_kind", required=True)
-    pe = isub.add_parser("ellipsoid", help="orbit set e+^r e-^s on the ellipsoid boundary")
-    _add_ellipsoid_parameters(pe)
-    pe.add_argument("--r", type=_nonneg_int, required=True)
-    pe.add_argument("--s", type=_nonneg_int, required=True)
-    po = isub.add_parser("orbit", help="general orbit set over a concave domain")
-    po.add_argument("file")
-    po.add_argument("--m-plus", type=_nonneg_int, default=0)
-    po.add_argument("--m-minus", type=_nonneg_int, default=0)
-    po.add_argument(
+_DOMAIN = (
+    _arg("file"),
+    _arg("--kmax", type=_nonneg_int, default=8),
+    _arg("--method", choices=["weights", "oracle", "both"], default="both"),
+    *_FORMAT_FLAGS,
+)
+_WEIGHTS = (_arg("file"),)
+_CHECK = (
+    _arg("--trials", type=_positive_int, default=10),
+    _arg("--kmax", type=_nonneg_int, default=8),
+    _arg("--seed", type=int, default=None),  # None: checks.DEFAULT_SEED
+)
+_BLOWUP = (
+    _arg("file"),
+    _arg("--delta", type=_rational, required=True),
+    _arg("--kmax", type=_nonneg_int, default=8),
+    *_FORMAT_FLAGS,
+)
+_OBSTRUCT = (_arg("source"), _arg("target"), _arg("--kmax", type=_nonneg_int, default=8))
+_INDEX_ELLIPSOID = (
+    *_ELLIPSOID_PARAMETERS,
+    _arg("--r", type=_nonneg_int, required=True),
+    _arg("--s", type=_nonneg_int, required=True),
+)
+_INDEX_ORBIT = (
+    _arg("file"),
+    _arg("--m-plus", type=_nonneg_int, default=0),
+    _arg("--m-minus", type=_nonneg_int, default=0),
+    _arg(
         "--path",
         default=None,
         help='generator path, e.g. "start=(2,1); edges=[(-1,0)x2]; labels=[e]"',
-    )
+    ),
+)
+_INDEX = (
+    _arg("index_kind", kinds={
+        "ellipsoid": ("orbit set e+^r e-^s on the ellipsoid boundary", _INDEX_ELLIPSOID),
+        "orbit": ("general orbit set over a concave domain", _INDEX_ORBIT),
+    }),
+)
 
 
 def cmd_domain(args) -> int:
@@ -185,12 +182,12 @@ def cmd_index(args) -> int:
     return EXIT_OK
 
 
-# command -> (add its arguments, run it), for cli's parser and dispatch
+# command -> (the spec of its arguments, run it), for cli's parsers and dispatch
 COMMANDS = {
-    "domain": (_domain_arguments, cmd_domain),
-    "weights": (_weights_arguments, cmd_weights),
-    "check": (_check_arguments, cmd_check),
-    "blowup": (_blowup_arguments, cmd_blowup),
-    "obstruct": (_obstruct_arguments, cmd_obstruct),
-    "index": (_index_arguments, cmd_index),
+    "domain": (_DOMAIN, cmd_domain),
+    "weights": (_WEIGHTS, cmd_weights),
+    "check": (_CHECK, cmd_check),
+    "blowup": (_BLOWUP, cmd_blowup),
+    "obstruct": (_OBSTRUCT, cmd_obstruct),
+    "index": (_INDEX, cmd_index),
 }

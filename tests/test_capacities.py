@@ -177,6 +177,12 @@ class TestUnionSequence:
         with pytest.raises(InsufficientLength):
             e.union_sequence([], 3)
 
+    @pytest.mark.parametrize("kmax", [-1, -3])
+    def test_negative_kmax_message(self, kmax):
+        # -3 sliced the factors and returned 4 values; -1 found none
+        with pytest.raises(ValueError, match=f"^kmax must be non-negative, got {kmax}$"):
+            e.union_sequence([e.ellipsoid_sequence(1, 1, 1, 5)], kmax)
+
 
 class TestWeightsRoute:
     def test_triangle_is_generator(self):

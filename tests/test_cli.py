@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from echlens import capacities, checks, cli, clibase, ellipsoid, weights
 from echlens.domains import parse_domain_file
@@ -577,6 +579,13 @@ USAGE = [
     ["ball", "--a", "1", "--kmax", "x"],
     ["ball", "--a", "1", "--decimal", "2", "--format", "csv"],
     ["domain", "F", "--decimal", "2", "--format", "csv"],
+    # argparse resolves these spellings, which main leaves to it, before
+    # the value's type refuses it
+    ["ball", "--a", "1", "--km", "x"],
+    ["ball", "--a", "1", "--kmax=x"],
+    ["ball", "--a", "1", "--kmax", "3", "--kmax", "x"],
+    ["ball", "--a", "1", "--kmax", "-3"],
+    ["check", "--seed", "-5", "--trials", "0"],
 ]
 
 
@@ -613,3 +622,96 @@ class TestUsage:
     def test_argument_errors_name_the_type(self, capsys):
         _, _, err = _exit(capsys, cli.main, ["ball", "--a", "1", "--kmax", "x"])
         assert err.endswith("echlens ball: error: argument --kmax: invalid _nonneg_int value: 'x'\n")
+
+
+# texts each argument type accepts; the positionals take file names and
+# --path a path text
+_VALID = {
+    clibase._positive_int: ["1", "2", "12"],
+    clibase._nonneg_int: ["0", "3", "10"],
+    clibase._positive_rational: ["1", "4/6", "233/144"],
+    clibase._rational: ["1/4", "0", "3"],
+    int: ["0", "7", "2024"],
+    None: ["F", "example.dom", "start=(2,1); edges=[(-2,1)x1]; labels=[e]"],
+}
+_TOKENS = ["x", "bogus", "-1", "-3/4", "1/0", "", "-", "--", "-h", "--help", "--bogus", "5"]
+
+
+def _valid_texts(keywords):
+    return st.sampled_from(keywords.get("choices") or _VALID[keywords.get("type")])
+
+
+def _mutate(draw, argv):
+    """argv with one of the spellings main leaves to argparse, or with an
+    error in it; the command stays."""
+    j = draw(st.integers(1, len(argv) - 1)) if len(argv) > 1 else 1
+    token = draw(st.sampled_from(_TOKENS))
+    flags = [i for i, text in enumerate(argv) if text.startswith("--")]
+    anywhere = ["negative", "insert", "drop", "replace"]
+    kind = draw(st.sampled_from(
+        anywhere + ["abbreviate", "equals", "repeat", "option-first", "value"] * bool(flags)
+    ))
+    if kind == "negative":
+        return argv[:j] + ["-" + "".join(argv[j:j + 1])] + argv[j + 1:]
+    if kind == "insert":
+        return argv[:j] + [token] + argv[j:]
+    if kind == "drop":
+        return argv[:j] + argv[j + 1:]
+    if kind == "replace":
+        return argv[:j] + [token] + argv[j + 1:]
+    i = draw(st.sampled_from(flags))
+    if kind == "abbreviate":
+        prefix = argv[i][: draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+        return argv[:i] + [prefix] + argv[i + 1:]
+    if kind == "equals":
+        return argv[:i] + ["=".join(argv[i:i + 2])] + argv[i + 2:]
+    if kind == "repeat":
+        return argv + [argv[i], token]
+    if kind == "value":  # a bad value, or a value that looks like an option
+        value = draw(st.sampled_from([token, "-" + "".join(argv[i + 1:i + 2])]))
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv[:1] + argv[i:i + 2] + argv[1:i] + argv[i + 2:]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, whether it was mutated): a well-formed argv of a command
+    drawn from its spec, with its options in any order, or that argv with
+    one or two mutations."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv, options = [command], []
+    pending = list(cli._command(command)[0])
+    while pending:
+        name, keywords = pending.pop(0)
+        if "kinds" in keywords:
+            kind = draw(st.sampled_from(sorted(keywords["kinds"])))
+            argv.append(kind)
+            pending += keywords["kinds"][kind][1]
+        elif not name.startswith("-"):
+            argv.append(draw(_valid_texts(keywords)))
+        elif keywords.get("required") or draw(st.booleans()):
+            options.append([name, draw(_valid_texts(keywords))])
+    argv += [token for option in draw(st.permutations(options)) for token in option]
+    mutations = draw(st.integers(0, 2))
+    for _ in range(mutations):
+        argv = _mutate(draw, argv)
+    return argv, mutations > 0
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_argvs())
+# values that argparse reads as options, though their type would take them
+@example((["blowup", "F", "--delta", "-1/4"], True))
+@example((["index", "orbit", "F", "--path", "-x"], True))
+def test_fast_parse_is_argparse_or_none(case):
+    # _parse_fast returns argparse's namespace or leaves the argv to it,
+    # and it parses every well-formed argv itself
+    argv, mutated = case
+    fast = cli._parse_fast(cli._command(argv[0])[0], argv)
+    assert mutated or fast is not None
+    if fast is not None:
+        try:
+            expected = vars(cli.build_parser(argv[0]).parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which _parse_fast parsed")
+        assert vars(fast) == expected

@@ -154,13 +154,17 @@ class TestRecordConstructors:
             echlens.RotationNumbers(1, phi=2)
 
 
-# prints the modules a CLI job loaded beyond a bare interpreter's
+# prints the modules a CLI job loaded beyond a bare interpreter's, after
+# its exit code
 _LOADED = """
 import sys
 base = set(sys.modules)
 from echlens import cli
-cli.main(sys.argv[1:])
-print(" ".join(sorted(set(sys.modules) - base)))
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exit:
+    code = exit.code
+print(code, " ".join(sorted(set(sys.modules) - base)))
 """
 
 
@@ -181,7 +185,10 @@ _ORACLE_NEVER = {"echlens.index", "fractions", "decimal", "numbers"}
 # nor does a packing job load path code
 _PACKING_NEVER = _ORACLE_NEVER | {"echlens.paths"}
 # (argv, the module the job runs, the modules it must not load), where {dom}
-# and {big} are domain files; no job loads dataclasses or inspect
+# and {big} are domain files; no job loads dataclasses or inspect, nor
+# argparse, with the gettext and locale it imports: a well-formed argv is
+# parsed from the command's spec
+_NEVER = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 _JOBS = [
     (["ball", "--a", "1", "--kmax", "0"],
      "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
@@ -201,9 +208,9 @@ _JOBS = [
 ]
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in _JOBS])
-def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
-    runs, unwanted = next((r, u) for a, r, u in _JOBS if a == argv)
+def _cold_job(argv, tmp_path):
+    """The stdout, exit code and newly loaded modules of a job run in a
+    fresh interpreter."""
     dom, big = tmp_path / "example.dom", tmp_path / "big.dom"
     dom.write_text(_DOMAIN)
     big.write_text(_BIG)
@@ -212,10 +219,25 @@ def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
         [sys.executable, "-c", _LOADED, *(arg.format(dom=dom, big=big) for arg in argv)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    loaded = set(result.stdout.splitlines()[-1].split())
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    return result.stdout, int(code), set(loaded)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _, _ in _JOBS])
+def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
+    runs, unwanted = next((r, u) for a, r, u in _JOBS if a == argv)
+    out, code, loaded = _cold_job(argv, tmp_path)
+    assert code == 0
     assert runs in loaded
     if argv[0] == "obstruct":
-        assert result.stdout.startswith("violation at k=1: 8 > 4\n")
+        assert out.startswith("violation at k=1: 8 > 4\n")
     if "both" in argv:
-        assert "DIFF: none\n" in result.stdout
-    assert not loaded & ({"dataclasses", "inspect"} | unwanted)
+        assert "DIFF: none\n" in out
+    assert not loaded & (_NEVER | unwanted)
+
+
+@pytest.mark.parametrize("argv, exit_code", [(["-h"], 0), (["ball", "--a", "1", "--kmax", "x"], 2)])
+def test_help_and_usage_errors_load_argparse(argv, exit_code, tmp_path):
+    _, code, loaded = _cold_job(argv, tmp_path)
+    assert code == exit_code
+    assert "argparse" in loaded
