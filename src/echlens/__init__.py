@@ -18,14 +18,13 @@ _EXPORTS = {
         "union_sequence",
     ),
     "bijectivity": ("index_bijectivity_check", "spectrum_from_orbit_indices"),
-    "checks": ("CheckResult", "random_concave_domain", "run_check"),
+    "checks": ("random_concave_domain", "run_check"),
     "domains": ("ConcaveDomain", "domain_area", "parse_domain_file", "validate_domain"),
     "ellipsoid": (),
     "errors": ("EchLensError",),
     "geometry": ("cross", "in_cone"),
     "index": (
         "ConcaveGenerator",
-        "OrbitSetDescriptor",
         "RotationNumbers",
         "coround_corner",
         "ellipsoid_orbit_index",

@@ -3,8 +3,9 @@
 Three routes to the capacities of a concave domain cross-check each other:
 the singular-ellipsoid generator sequence, the weight-expansion packing
 route, and brute-force maximization of path length over enumerated concave
-lattice paths.  The max-plus union and the obstruction report live here too;
-the generator heap is in ellipsoid.py and the index formulas in index.py.
+lattice paths.  The max-plus union, the one comparison of two sequences and
+the obstruction report live here too; the generator heap is in ellipsoid.py
+and the index formulas in index.py.
 """
 
 from __future__ import annotations
@@ -167,12 +168,21 @@ def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySeq
     return CapacitySequence(best, scale)
 
 
+def _differences(first: CapacitySequence, second: CapacitySequence):
+    """(k, first c_k, second c_k, scale) for each k that both sequences
+    cover and at which they differ, both values ints over the LCM of their
+    scales: the one comparison of two sequences."""
+    scale = lcm(first.scale, second.scale)
+    f1, f2 = scale // first.scale, scale // second.scale
+    for k, (u, v) in enumerate(zip(first.ints, second.ints)):
+        if u * f1 != v * f2:
+            yield k, u * f1, v * f2, scale
+
+
 class ObstructionReport(Record):
     # rows: ((k, source, target), ...) ints over scale; violations reads them
-    __slots__ = ("kmax", "rows", "scale", "note")
-
-    def __init__(self, kmax, rows=(), scale=1, note=MONOTONICITY_NOTE):
-        super().__init__(kmax, rows, scale, note)
+    __slots__ = ("kmax", "rows", "scale")
+    note = MONOTONICITY_NOTE
 
     @property
     def violations(self) -> tuple:
@@ -199,11 +209,7 @@ def obstruction_report(
         raise InsufficientLength(
             f"sequences of length {len(source)}, {len(target)} do not cover kmax={kmax}"
         )
-    scale = lcm(source.scale, target.scale)
-    fs, ft = scale // source.scale, scale // target.scale
     rows = tuple(
-        (k, sv * fs, tv * ft)
-        for k, (sv, tv) in enumerate(zip(source.ints[: kmax + 1], target.ints))
-        if sv * fs > tv * ft
+        (k, sv, tv) for k, sv, tv, _ in _differences(source, target) if k <= kmax and sv > tv
     )
-    return ObstructionReport(kmax, rows, scale)
+    return ObstructionReport(kmax, rows, lcm(source.scale, target.scale))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import random
 
-from .capacities import capacities_via_oracle, capacities_via_weights
+from .capacities import _differences, capacities_via_oracle, capacities_via_weights
 from .domains import ConcaveDomain, _from_ratios
 from .errors import DomainError
-from .record import Record
 
 DEFAULT_SEED = 2024
 MAX_COORD = 8
@@ -55,31 +54,16 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
             continue
 
 
-class CheckResult(Record):
-    # failure: (trial, k, weights sequence, oracle sequence, domain), the
-    # first k at which the two sequences differ, or None
-    __slots__ = ("trials", "kmax", "seed", "failure")
-
-    @property
-    def passed(self) -> bool:
-        return self.failure is None
-
-
-def run_check(trials: int, kmax: int, seed: int = DEFAULT_SEED) -> CheckResult:
+def run_check(trials: int, kmax: int, seed: int = DEFAULT_SEED):
     """Compare the weight route against the oracle route on `trials` random
-    domains drawn from one seeded generator."""
+    domains drawn from one seeded generator.  Returns None when they agree,
+    else the first failure (trial, k, weights sequence, oracle sequence,
+    domain), k the first index at which the two sequences differ."""
     rng = random.Random(seed)
     for trial in range(1, trials + 1):
         dom = random_concave_domain(rng)
         via_w = capacities_via_weights(dom, kmax)
         via_o = capacities_via_oracle(dom, kmax)
-        # w / via_w.scale against o / via_o.scale, on ints
-        for k, (w, o) in enumerate(zip(via_w.ints, via_o.ints)):
-            if w * via_o.scale != o * via_w.scale:
-                return CheckResult(
-                    trials=trials,
-                    kmax=kmax,
-                    seed=seed,
-                    failure=(trial, k, via_w, via_o, dom),
-                )
-    return CheckResult(trials=trials, kmax=kmax, seed=seed, failure=None)
+        for k, *_ in _differences(via_w, via_o):
+            return trial, k, via_w, via_o, dom
+    return None

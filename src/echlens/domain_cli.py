@@ -84,17 +84,13 @@ def cmd_domain(args) -> int:
             seq = results[name]
             _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     if args.method == "both":
-        # sequences in lowest terms are equal exactly when every value is
-        weights, oracle = results["weights"], results["oracle"]
-        if weights != oracle:
-            parts = ", ".join(
-                f"k={k}: {format_ratio(w, weights.scale)} vs {format_ratio(o, oracle.scale)}"
-                for k, (w, o) in enumerate(zip(weights.ints, oracle.ints))
-                if w * oracle.scale != o * weights.scale
-            )
-            print(f"DIFF: {parts}")
+        parts = ", ".join(
+            f"k={k}: {format_ratio(w, s)} vs {format_ratio(o, s)}"
+            for k, w, o, s in cap._differences(results["weights"], results["oracle"])
+        )
+        print(f"DIFF: {parts or 'none'}")
+        if parts:
             return EXIT_INTERNAL
-        print("DIFF: none")
     return EXIT_OK
 
 
@@ -112,16 +108,13 @@ def cmd_weights(args) -> int:
 def cmd_check(args) -> int:
     from .checks import DEFAULT_SEED, run_check
 
-    result = run_check(
-        trials=args.trials,
-        kmax=args.kmax,
-        seed=DEFAULT_SEED if args.seed is None else args.seed,
-    )
-    print(f"seed {result.seed}")
-    if result.passed:
-        print(f"PASS trials={result.trials} kmax={result.kmax}")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    failure = run_check(args.trials, args.kmax, seed)
+    print(f"seed {seed}")
+    if failure is None:
+        print(f"PASS trials={args.trials} kmax={args.kmax}")
         return EXIT_OK
-    trial, k, weights, oracle, dom = result.failure
+    trial, k, weights, oracle, dom = failure
     print(
         f"FAIL trial={trial} k={k} weights={format_ratio(weights.ints[k], weights.scale)} "
         f"oracle={format_ratio(oracle.ints[k], oracle.scale)}"
@@ -174,10 +167,7 @@ def cmd_index(args) -> int:
         else:
             path, labels = idx.parse_path_text(domain.n, args.path)
             gen = idx.ConcaveGenerator(path=path, labels=labels or ("e",) * len(path.edges))
-        orbit = idx.OrbitSetDescriptor(
-            m_plus=args.m_plus, m_minus=args.m_minus, generator=gen
-        )
-        value = idx.orbit_set_index(domain, orbit)
+        value = idx.orbit_set_index(domain, gen, args.m_plus, args.m_minus)
     print(f"I = {value}")
     return EXIT_OK
 

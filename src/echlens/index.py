@@ -121,14 +121,12 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     # the index depends on the rotation numbers, so only on the ratio b/a
     triangle = validate_domain(n, ((n * ia, ia), (0, ib)))
     empty = ConcaveGenerator(path=empty_path(n), labels=())
-    return orbit_set_index(triangle, OrbitSetDescriptor(r, s, empty))
+    return orbit_set_index(triangle, empty, r, s)
 
 
-class OrbitSetDescriptor(Record):
-    __slots__ = ("m_plus", "m_minus", "generator")  # generator: ConcaveGenerator
-
-
-def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
+def orbit_set_index(
+    domain: ConcaveDomain, generator: ConcaveGenerator, m_plus: int, m_minus: int
+) -> int:
     """Index of an orbit set with exceptional-orbit powers: the combinatorial
     index of the auxiliary path (m_plus horizontal unit edges, the
     generator's edges, m_minus horizontal unit edges), plus 2 per
@@ -139,23 +137,21 @@ def orbit_set_index(domain: ConcaveDomain, orbit: OrbitSetDescriptor) -> int:
     on the ellipsoid's triangle: floor'(i*phi_plus) is i*phi_plus - 1 where
     that is an integer, so floor'(x) >= x - 1 with equality at integers."""
     n = domain.n
-    gen = orbit.generator
-    if gen.path.n != n:
-        raise MismatchedN(f"generator path has n={gen.path.n}, domain has n={n}")
-    m_plus, m_minus = orbit.m_plus, orbit.m_minus
+    if generator.path.n != n:
+        raise MismatchedN(f"generator path has n={generator.path.n}, domain has n={n}")
     if m_plus < 0 or m_minus < 0:
         raise ValueError("exceptional multiplicities must be non-negative")
-    run = m_plus + m_minus + sum(-d[0] * m for d, m in gen.path.edges)
+    run = m_plus + m_minus + sum(-d[0] * m for d, m in generator.path.edges)
     if run % n != 0:
         raise HomologyNotZero(f"total horizontal run {run} is not a multiple of n = {n}")
     big_m = run // n
-    edges = (((-1, 0), m_plus), *gen.path.edges, ((-1, 0), m_minus))
+    edges = (((-1, 0), m_plus), *generator.path.edges, ((-1, 0), m_minus))
     aux = IntegralPath(n, (big_m * n, big_m), tuple(e for e in edges if e[1]))
     for v in aux.vertices():
         if not geo.in_cone(v, n):
             raise PathError(f"auxiliary path vertex {v} leaves the cone")
     rot = rotation_numbers(domain)
-    total = generator_index(ConcaveGenerator(aux, gen.labels)) + 2 * m_plus + 2 * m_minus
+    total = generator_index(ConcaveGenerator(aux, generator.labels)) + 2 * m_plus + 2 * m_minus
     # each sum runs over 1 <= i <= m of (i*p - shift) // q, phi = p/q: an
     # integral i*phi_plus counts one less, as at E_n(a, b(1+eps))
     for phi, m, shift in ((rot.phi_plus, m_plus, 1), (rot.phi_minus, m_minus, 0)):

@@ -485,6 +485,14 @@ class TestObstructionReport:
         assert report.violations[0] == (1, 4, 2)
         assert "orbifold point" in report.note
 
+    def test_ignores_rows_past_kmax(self):
+        # c_3 = 5 > 7/2 is the only difference, one past kmax = 2
+        source = e.CapacitySequence([0, 1, 2, 5])
+        target = e.CapacitySequence([0, 2, 4, 7], 2)
+        report = e.obstruction_report(source, target, kmax=2)
+        assert (report.kmax, report.rows, report.scale) == (2, (), 2)
+        assert e.obstruction_report(source, target, kmax=3).rows == ((3, 10, 7),)
+
     def test_insufficient_length(self):
         with pytest.raises(InsufficientLength):
             e.obstruction_report(
@@ -545,21 +553,18 @@ class TestOrbitSetIndex:
             for p in e.enumerate_paths_up_to(2, k)[k]:
                 labels = ("e",) * len(p.edges)
                 gen = e.ConcaveGenerator(path=p, labels=labels)
-                orbit = e.OrbitSetDescriptor(m_plus=0, m_minus=0, generator=gen)
-                assert e.orbit_set_index(EXAMPLE, orbit) == e.generator_index(gen)
+                assert e.orbit_set_index(EXAMPLE, gen, 0, 0) == e.generator_index(gen)
 
     def test_empty(self):
         gen = e.ConcaveGenerator(path=e.empty_path(2), labels=())
-        orbit = e.OrbitSetDescriptor(m_plus=0, m_minus=0, generator=gen)
-        assert e.orbit_set_index(B21, orbit) == 0
+        assert e.orbit_set_index(B21, gen, 0, 0) == 0
 
     def test_exceptional_orbits_raise_the_index(self):
         # with the empty generator the index of e+^r depends only on the
         # first edge, and (-1, 1) is the direction of E_2(1, 3)'s edge
         pert = e.validate_domain(2, [(2, 1), (1, 2), (0, 4)])
         gen = e.ConcaveGenerator(path=e.empty_path(2), labels=())
-        orbit = e.OrbitSetDescriptor(m_plus=2, m_minus=0, generator=gen)
-        assert e.orbit_set_index(pert, orbit) == brute_orbit_index(2, 1, 3, 2, 0) == 2
+        assert e.orbit_set_index(pert, gen, 2, 0) == brute_orbit_index(2, 1, 3, 2, 0) == 2
 
     def test_ellipsoid_triangle_against_lattice_count(self):
         # convergent ratios b/a = p/q with p, q > r, s: no two orbit sets
@@ -576,23 +581,20 @@ class TestOrbitSetIndex:
             s += (-(r + s)) % n
             triangle = e.validate_domain(n, [(n * a, a), (0, b)])
             gen = e.ConcaveGenerator(path=e.empty_path(n), labels=())
-            orbit = e.OrbitSetDescriptor(m_plus=r, m_minus=s, generator=gen)
-            assert e.orbit_set_index(triangle, orbit) == lattice_index(n, a, b, r, s)
+            assert e.orbit_set_index(triangle, gen, r, s) == lattice_index(n, a, b, r, s)
 
     def test_homology(self):
         gen = e.ConcaveGenerator(path=e.empty_path(2), labels=())
-        orbit = e.OrbitSetDescriptor(m_plus=1, m_minus=0, generator=gen)
         with pytest.raises(HomologyNotZero):
-            e.orbit_set_index(B21, orbit)
+            e.orbit_set_index(B21, gen, 1, 0)
 
     def test_generator_from_another_orbifold(self):
         # an n = 4 generator on the n = 2 domain: its run 4 passes the
         # homology test, and it used to be priced (as 16) on the wrong cone
         path = e.make_path(4, (4, 1), (((-4, 1), 1),))
         gen = e.ConcaveGenerator(path=path, labels=("e",))
-        orbit = e.OrbitSetDescriptor(m_plus=0, m_minus=0, generator=gen)
         with pytest.raises(MismatchedN):
-            e.orbit_set_index(EXAMPLE, orbit)
+            e.orbit_set_index(EXAMPLE, gen, 0, 0)
 
     def test_exceptional_powers_against_pick_and_term_by_term_sums(self):
         # empty generator: the auxiliary chain runs along y = M from the ray
@@ -618,8 +620,7 @@ class TestOrbitSetIndex:
             expected = 2 * count + 2 * m_plus + 2 * m_minus
             expected += 2 * brute_floor_sum(phi_plus, m_plus)
             expected += 2 * brute_floor_sum(rot.phi_minus, m_minus)
-            orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty[n])
-            assert e.orbit_set_index(dom, orbit) == expected
+            assert e.orbit_set_index(dom, empty[n], m_plus, m_minus) == expected
 
     def test_exceptional_powers_near_a_billion(self):
         # rotation numbers -2/9 and 2: the first edge (-5, 2) is that of
@@ -640,8 +641,7 @@ class TestOrbitSetIndex:
             # each of the m_plus // 9 integral i*phi_plus is read one lower
             expected += 2 * (floor_sum_by_periods(rot.phi_plus, m_plus) - m_plus // 9)
             expected += 2 * floor_sum_by_periods(rot.phi_minus, m_minus)
-            orbit = e.OrbitSetDescriptor(m_plus=m_plus, m_minus=m_minus, generator=empty)
-            assert e.orbit_set_index(dom, orbit) == expected
+            assert e.orbit_set_index(dom, empty, m_plus, m_minus) == expected
 
 
 class TestBijectivity:
@@ -728,7 +728,7 @@ class TestBijectivity:
             gen = e.ConcaveGenerator(path=e.empty_path(n), labels=())
             _, cert = e.index_bijectivity_check(n, a, b, layers)
             for index, (r, s) in cert:
-                assert index == e.orbit_set_index(triangle, e.OrbitSetDescriptor(r, s, gen))
+                assert index == e.orbit_set_index(triangle, gen, r, s)
 
     def test_degenerate_ratio_multiplicity(self):
         # phi+ = -2/7 and phi- = 2/5: the window holds e-^5, whose 5*phi- is

@@ -302,6 +302,21 @@ class TestDomain:
         assert code == 0
         assert out.endswith("DIFF: none\n")
 
+    def test_routes_disagree_prints_diff_exit_4(self, capsys, monkeypatch, domain_file):
+        # c_k + 1/2 at every k >= 1: the oracle's scale becomes 2, the packing route's stays 1
+        real = capacities.capacities_via_oracle
+
+        def halved(domain, kmax):
+            seq = real(domain, kmax)
+            return capacities.CapacitySequence(
+                [2 * v + seq.scale if k else 0 for k, v in enumerate(seq.ints)], 2 * seq.scale
+            )
+
+        monkeypatch.setattr(capacities, "capacities_via_oracle", halved)
+        code, out, _ = run(capsys, ["domain", domain_file, "--kmax", "3", "--method", "both"])
+        assert code == 4
+        assert out.splitlines()[-1] == "DIFF: k=1: 4 vs 9/2, k=2: 5 vs 11/2, k=3: 5 vs 11/2"
+
     def test_validation_error_prints_points(self, capsys, tmp_path):
         bad = tmp_path / "bad.dom"
         bad.write_text("n = 2\nvertices = (3,1) (0,2)\n")

@@ -4,7 +4,7 @@ import pytest
 
 import echlens as e
 from echlens import paths
-from echlens.errors import InvalidVertex, PathError, ResourceLimit
+from echlens.errors import InvalidVertex, PathError, ResourceLimit, ZeroEdge
 from helpers import (
     brute_completion_bound,
     brute_edge_count,
@@ -52,6 +52,10 @@ class TestConstruction:
     def test_from_vertices_collapses(self):
         p = e.path_from_vertices(2, [(4, 2), (3, 2), (2, 2), (0, 3)])
         assert p.edges == (((-1, 0), 2), ((-2, 1), 1))
+
+    def test_from_vertices_rejects_a_repeated_vertex(self):
+        with pytest.raises(ZeroEdge, match="repeated vertex"):
+            e.path_from_vertices(1, [(2, 2), (2, 2), (0, 3)])
 
     def test_text_roundtrip(self):
         p = e.make_path(2, (4, 2), (((-1, 0), 2), ((-2, 1), 1)))
