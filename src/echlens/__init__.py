@@ -17,7 +17,11 @@ _EXPORTS = {
         "obstruction_report",
         "union_sequence",
     ),
-    "bijectivity": ("index_bijectivity_check", "spectrum_from_orbit_indices"),
+    "bijectivity": (
+        "ellipsoid_orbit_index",
+        "index_bijectivity_check",
+        "spectrum_from_orbit_indices",
+    ),
     "checks": ("random_concave_domain", "run_check"),
     "domains": ("ConcaveDomain", "domain_area", "parse_domain_file", "validate_domain"),
     "ellipsoid": (),
@@ -27,7 +31,6 @@ _EXPORTS = {
         "ConcaveGenerator",
         "RotationNumbers",
         "coround_corner",
-        "ellipsoid_orbit_index",
         "generator_index",
         "make_path",
         "orbit_set_index",

@@ -1,9 +1,9 @@
-"""Index bijectivity for E_n(a, b), and the spectrum it certifies.
+"""E_n(a, b)'s orbit-set index, its bijectivity and the spectrum it certifies.
 
-The check prices orbit_set_index (index.py) for every orbit set of
-E_n(a, b) in a window, from two int prefix arrays of rotation floors, and
-the spectrum reads the actions off its certificate.  It needs none of the
-index module's domain or path code, so it does not import it.
+The index is one int closed form in two rotation floor sums, orbit_set_index
+(index.py) on the ellipsoid's triangle.  ellipsoid_orbit_index reads the sums
+from floor_sum, and the bijectivity check, for every orbit set in a window,
+from two int prefix arrays.  None of it needs index.py's domain or path code.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from itertools import accumulate
 from math import isqrt
 
 from .ellipsoid import ellipsoid_ints
-from .errors import ResourceLimit
-from .geometry import format_ratio
+from .errors import HomologyNotZero, ResourceLimit
+from .geometry import floor_sum, format_ratio
 
 INDEX_MULTIPLICITY_BUDGET = 1 << 20
 
@@ -28,6 +28,28 @@ def _rotation_floors(p: int, q: int, m: int, shift: int):
     phi = p/q, q > 0, not necessarily in lowest terms (shift is 0 or 1):
     orbit_set_index's floor sums for every multiplicity up to m."""
     return list(accumulate(((i * p - shift) // q for i in range(1, m + 1)), initial=0))
+
+
+def _index(n: int, r: int, s: int, plus: int, minus: int) -> int:
+    """Index of e+^r e-^s of E_n(a, b), r + s = n*k, from its rotation floor
+    sums: the auxiliary path (n*k unit edges at height k) and 2 per
+    exceptional orbit give n*k*(k + 1) + 2*k, and each sum counts twice."""
+    k = (r + s) // n
+    return n * k * (k + 1) + 2 * k + 2 * (plus + minus)
+
+
+def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
+    """Index of the orbit set e+^r e-^s of E_n(a, b): orbit_set_index on the
+    ellipsoid's triangle (n*a, a) (0, b) with the empty generator, with
+    _rotation_floors' sums at r and s as one floor_sum each."""
+    ia, ib, _ = ellipsoid_ints(n, a, b)
+    if r < 0 or s < 0:
+        raise ValueError("multiplicities must be non-negative")
+    if (r + s) % n != 0:
+        raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
+    plus = floor_sum(r, n * ib, ia - ib, ia - ib - 1)
+    minus = floor_sum(s, n * ia, ib - ia, ib - ia)
+    return _index(n, r, s, plus, minus)
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
@@ -80,14 +102,11 @@ def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
     floors_minus = _rotation_floors(ib - ia, n * ia, top_s, 0)
 
     # the orbit sets (r + s a multiple of n) of the layers, r + s <= top, and
-    # the later ones with a*r + b*s within u_max, each priced by the index of
-    # orbit_set_index on the triangle with both floor sums looked up
+    # the later ones with a*r + b*s within u_max
     entries = []
     for s in range(top_s + 1):
         for r in range(-s % n, max(top - s, (u_max - ib * s) // ia) + 1, n):
-            k = (r + s) // n
-            index = n * k * (k + 1) + 2 * k + 2 * (floors_plus[r] + floors_minus[s])
-            entries.append((index, (r, s)))
+            entries.append((_index(n, r, s, floors_plus[r], floors_minus[s]), (r, s)))
 
     entries.sort()
     certificate = entries[:target_count]

@@ -151,16 +151,16 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_index(args) -> int:
-    from . import index as idx
-    from .paths import empty_path
-
     if args.index_kind == "ellipsoid":
-        from .ellipsoid import ratio_ints
+        from .bijectivity import ellipsoid_orbit_index
 
-        # the int pairs over their common denominator: the index reads b/a alone
-        ia, ib, _ = ratio_ints(args.a, args.b)
-        value = idx.ellipsoid_orbit_index(args.n, ia, ib, args.r, args.s)
+        # the index reads b/a alone: a and b over qa*qb
+        (pa, qa), (pb, qb) = args.a, args.b
+        value = ellipsoid_orbit_index(args.n, pa * qb, pb * qa, args.r, args.s)
     else:
+        from . import index as idx
+        from .paths import empty_path
+
         domain = _load_domain(args.file)
         if args.path is None:
             gen = idx.ConcaveGenerator(path=empty_path(domain.n), labels=())

@@ -1,13 +1,12 @@
-"""ECH index formulas for orbit sets, and the path code only they use.
+"""The ECH index formula for orbit sets, and the path code only it uses.
 
 One formula, orbit_set_index, prices an orbit set with exceptional-orbit
-powers over a concave domain; the ellipsoid index is that formula on the
-ellipsoid's triangle.  Around it live what it and `index orbit` need beyond
-the oracle's path code (paths.py): labeled generators and the paths a caller
-gives, the combinatorial index of a generator, the rotation numbers of the
-exceptional orbits, corner corounding and the path text form.  The
-bijectivity check (bijectivity.py) prices the same index for every orbit set
-of E_n(a, b) in a window.
+powers over a concave domain.  Around it live what it and `index orbit` need
+beyond the oracle's path code (paths.py): labeled generators and the paths a
+caller gives, the combinatorial index of a generator, the rotation numbers
+of the exceptional orbits, corner corounding and the path text form.  On the
+ellipsoid's triangle with the empty generator the formula is the int closed
+form of bijectivity.py, which prices E_n(a, b)'s orbit sets without it.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import re
 from math import gcd
 
 from . import geometry as geo
-from .domains import ConcaveDomain, _check_chain, validate_domain
-from .ellipsoid import ellipsoid_ints
+from .domains import ConcaveDomain, _check_chain
 from .errors import (
     DegenerateEdge,
     DomainError,
@@ -107,21 +105,6 @@ def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
         phi_plus=Fraction(first[1], denom_plus),
         phi_minus=Fraction(-last[1], last[0]),
     )
-
-
-def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
-    """Index of the orbit set e+^r e-^s of E_n(a, b): orbit_set_index on the
-    ellipsoid's triangle (n*a, a) (0, b) with the empty generator."""
-    ia, ib, _ = ellipsoid_ints(n, a, b)
-    # orbit_set_index's guards, with messages in the caller's r and s
-    if r < 0 or s < 0:
-        raise ValueError("multiplicities must be non-negative")
-    if (r + s) % n != 0:
-        raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
-    # the index depends on the rotation numbers, so only on the ratio b/a
-    triangle = validate_domain(n, ((n * ia, ia), (0, ib)))
-    empty = ConcaveGenerator(path=empty_path(n), labels=())
-    return orbit_set_index(triangle, empty, r, s)
 
 
 def orbit_set_index(

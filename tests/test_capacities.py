@@ -534,6 +534,10 @@ class TestEllipsoidOrbitIndex:
             s += (-(r + s)) % n
             expected = brute_orbit_index(n, a, perturbed(a, b, max(r, s)), r, s)
             assert e.ellipsoid_orbit_index(n, a, b, r, s) == expected
+            # the closed form is the general formula on the ellipsoid's triangle
+            triangle = e.validate_domain(n, [(n * a, a), (0, b)])
+            empty = e.ConcaveGenerator(path=e.empty_path(n), labels=())
+            assert e.orbit_set_index(triangle, empty, r, s) == expected
 
     def test_huge_multiplicity(self):
         # phi_plus = -89/466: 2 145 922 746 full periods and a tail of 365

@@ -206,6 +206,10 @@ _JOBS = [
     (["obstruct", "{big}", "{dom}", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
     # the routes agree, so the job prints DIFF: none and builds no Fraction
     (["domain", "{dom}", "--method", "both", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
+    # the index command's spec lives in domain_cli, but its ellipsoid kind
+    # runs the closed form in bijectivity and builds no domain, path or record
+    (["index", "ellipsoid", "--n", "2", "--a", "1", "--b", "233/144", "--r", "2", "--s", "0"],
+     "echlens.bijectivity", _SPECTRUM_NEVER - {"echlens.domain_cli"} | {"echlens.record"}),
 ]
 
 
@@ -234,6 +238,8 @@ def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
         assert out.startswith("violation at k=1: 8 > 4\n")
     if "both" in argv:
         assert "DIFF: none\n" in out
+    if argv[0] == "index":
+        assert out.startswith("I = 2\n")
     assert not loaded & (_NEVER | unwanted)
 
 
