@@ -29,7 +29,6 @@ _EXPORTS = {
     "geometry": ("cross", "in_cone"),
     "index": (
         "ConcaveGenerator",
-        "RotationNumbers",
         "coround_corner",
         "generator_index",
         "make_path",
@@ -37,7 +36,6 @@ _EXPORTS = {
         "parse_path_text",
         "path_from_vertices",
         "path_to_text",
-        "rotation_numbers",
     ),
     "paths": ("IntegralPath", "empty_path", "enumerate_paths_up_to", "lattice_count"),
     "weights": ("WeightExpansion", "singular_weight_expansion"),

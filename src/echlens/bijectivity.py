@@ -1,9 +1,10 @@
 """E_n(a, b)'s orbit-set index, its bijectivity and the spectrum it certifies.
 
-The index is one int closed form in two rotation floor sums, orbit_set_index
-(index.py) on the ellipsoid's triangle.  ellipsoid_orbit_index reads the sums
-from floor_sum, and the bijectivity check, for every orbit set in a window,
-from two int prefix arrays.  None of it needs index.py's domain or path code.
+Every index formula reads the exceptional orbits' rotation floors here, on
+ints, from a chain's end edges: orbit_set_index (index.py) from a domain's,
+and the one int closed form of E_n(a, b) from its triangle's.  Its two sums
+come from floor_sum in ellipsoid_orbit_index and, for every orbit set in a
+window, from two int prefix arrays in the bijectivity check.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from itertools import accumulate
 from math import isqrt
 
 from .ellipsoid import ellipsoid_ints
-from .errors import HomologyNotZero, ResourceLimit
-from .geometry import floor_sum, format_ratio
+from .errors import DegenerateEdge, HomologyNotZero, ResourceLimit
+from .geometry import cross, floor_sum, format_ratio
 
 INDEX_MULTIPLICITY_BUDGET = 1 << 20
 
@@ -23,10 +24,37 @@ def _orbit_set_count(n: int, layers: int) -> int:
     return (layers + 1) * (n * layers + 2) // 2
 
 
-def _rotation_floors(p: int, q: int, m: int, shift: int):
-    """Prefix sums of (i*p - shift) // q over 1 <= i <= j for j = 0..m, with
-    phi = p/q, q > 0, not necessarily in lowest terms (shift is 0 or 1):
-    orbit_set_index's floor sums for every multiplicity up to m."""
+def _end_rotations(n: int, first, last):
+    """The exceptional orbits' rotation numbers from the int end edges of a
+    chain, as (p, q, shift) with q > 0: phi_plus = first.y/cross(first, (n, 1))
+    with shift 1 and phi_minus = -last.y/last.x with shift 0.  A floor is read
+    as (i*p - shift) // q, the perturbation E_n(a, b) -> E_n(a, b(1+eps)):
+    an integral i*phi_plus counts one less, so floor'(x) >= x - 1."""
+    denom_plus = cross(first, (n, 1))
+    if denom_plus == 0:
+        raise DegenerateEdge("first boundary edge runs along the (n,1)-ray")
+    if last[0] == 0:
+        raise DegenerateEdge("last boundary edge is vertical")
+    rotations = ((first[1], denom_plus, 1), (-last[1], last[0], 0))
+    return tuple((p, q, shift) if q > 0 else (-p, -q, shift) for p, q, shift in rotations)
+
+
+def _ellipsoid_rotations(n: int, ia: int, ib: int):
+    """_end_rotations of the triangle (n*ia, ia) (0, ib): its one edge is both
+    ends, so they are (ia - ib)/(n*ib) and (ib - ia)/(n*ia)."""
+    edge = (-n * ia, ib - ia)
+    return _end_rotations(n, edge, edge)
+
+
+def _rotation_sum(rotation, m: int) -> int:
+    """Sum of (i*p - shift) // q over 1 <= i <= m, rotation = (p, q, shift)."""
+    p, q, shift = rotation
+    return floor_sum(m, q, p, p - shift)
+
+
+def _rotation_floors(rotation, m: int):
+    """[_rotation_sum(rotation, j) for j = 0..m], one floor per multiplicity."""
+    p, q, shift = rotation
     return list(accumulate(((i * p - shift) // q for i in range(1, m + 1)), initial=0))
 
 
@@ -41,15 +69,14 @@ def _index(n: int, r: int, s: int, plus: int, minus: int) -> int:
 def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     """Index of the orbit set e+^r e-^s of E_n(a, b): orbit_set_index on the
     ellipsoid's triangle (n*a, a) (0, b) with the empty generator, with
-    _rotation_floors' sums at r and s as one floor_sum each."""
+    each rotation floor sum as one floor_sum."""
     ia, ib, _ = ellipsoid_ints(n, a, b)
     if r < 0 or s < 0:
         raise ValueError("multiplicities must be non-negative")
     if (r + s) % n != 0:
         raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
-    plus = floor_sum(r, n * ib, ia - ib, ia - ib - 1)
-    minus = floor_sum(s, n * ia, ib - ia, ib - ia)
-    return _index(n, r, s, plus, minus)
+    plus, minus = _ellipsoid_rotations(n, ia, ib)
+    return _index(n, r, s, _rotation_sum(plus, r), _rotation_sum(minus, s))
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
@@ -59,15 +86,15 @@ def index_bijectivity_check(n: int, a, b, kmax_layers: int):
 
 
 def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
-    """Check that the index of E_n(ia/d, ib/d), n, ia, ib, d >= 1, is a
-    bijection onto the even numbers at desk scale.
+    """Check that the index of E_n(ia/d, ib/d), n, ia, ib, d >= 1, maps the
+    orbit sets of its lowest kmax_layers + 1 layers onto the lowest even numbers.
 
     Considers every orbit set in layers r + s = k*n for k <= kmax_layers
     (count T of them) and verifies that the T smallest indices over all
     orbit sets are exactly 0, 2, ..., 2(T-1).  Returns (ok, certificate)
     where the certificate is the sorted (index, (r, s)) table of the T
     smallest among those layers and every later orbit set that can enter
-    the window [0, 2(T-1)].  The floors are orbit_set_index's, read at
+    the window [0, 2(T-1)].  The floors are _end_rotations', read at
     b(1+eps), and floor'(x) >= x - 1 (with equality at integers) bounds the
     index of the orbit set of action t = a*r + b*s below by
     t^2/(nab) - t/min(a, b); the window's top fixes the last action, and the
@@ -96,10 +123,10 @@ def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
             f"layers; their multiplicities reach "
             f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
-    # E_n(a, b)'s rotation numbers; floors_plus[r] is orbit_set_index's
-    # phi_plus floor sum at multiplicity r
-    floors_plus = _rotation_floors(ia - ib, n * ib, top_r, 1)
-    floors_minus = _rotation_floors(ib - ia, n * ia, top_s, 0)
+    # floors_plus[r] is the phi_plus floor sum at multiplicity r
+    plus, minus = _ellipsoid_rotations(n, ia, ib)
+    floors_plus = _rotation_floors(plus, top_r)
+    floors_minus = _rotation_floors(minus, top_s)
 
     # the orbit sets (r + s a multiple of n) of the layers, r + s <= top, and
     # the later ones with a*r + b*s within u_max

@@ -6,7 +6,7 @@ module validates and parses such chains and measures their area.  A chain
 is stored, and a domain file parsed, as int vertices over one denominator.
 Edge lengths are priced by the oracle route (capacities.oracle_ints), and
 the rotation numbers of the exceptional orbits, which serve only the index
-formulas, are in index.py.
+formulas, are read in bijectivity.py.
 """
 
 from __future__ import annotations

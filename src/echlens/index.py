@@ -3,10 +3,10 @@
 One formula, orbit_set_index, prices an orbit set with exceptional-orbit
 powers over a concave domain.  Around it live what it and `index orbit` need
 beyond the oracle's path code (paths.py): labeled generators and the paths a
-caller gives, the combinatorial index of a generator, the rotation numbers
-of the exceptional orbits, corner corounding and the path text form.  On the
-ellipsoid's triangle with the empty generator the formula is the int closed
-form of bijectivity.py, which prices E_n(a, b)'s orbit sets without it.
+caller gives, the combinatorial index of a generator, corner corounding and
+the path text form.  Its rotation floors are read in bijectivity.py, on ints;
+on the ellipsoid's triangle with the empty generator the formula is the int
+closed form there, which prices E_n(a, b)'s orbit sets without it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import re
 from math import gcd
 
 from . import geometry as geo
+from .bijectivity import _end_rotations, _rotation_sum
 from .domains import ConcaveDomain, _check_chain
 from .errors import (
-    DegenerateEdge,
     DomainError,
     HomologyNotZero,
     InvalidVertex,
@@ -84,41 +84,14 @@ def generator_index(gen: ConcaveGenerator) -> int:
     return 2 * lattice_count(gen.path) + gen.labels.count("h")
 
 
-class RotationNumbers(Record):
-    __slots__ = ("phi_plus", "phi_minus")  # Fractions
-
-
-def rotation_numbers(domain: ConcaveDomain) -> RotationNumbers:
-    """Rotation numbers of the exceptional orbits, from the end edges: on the
-    triangle of E_n(a, b), (a - b)/(n*b) and (b - a)/(n*a).  Each is a ratio
-    of one int edge's coordinates, in which the scale cancels."""
-    from fractions import Fraction
-
-    v = domain.ints
-    first, last = geo.vec_sub(v[1], v[0]), geo.vec_sub(v[-1], v[-2])
-    denom_plus = geo.cross(first, (domain.n, 1))
-    if denom_plus == 0:
-        raise DegenerateEdge("first boundary edge runs along the (n,1)-ray")
-    if last[0] == 0:
-        raise DegenerateEdge("last boundary edge is vertical")
-    return RotationNumbers(
-        phi_plus=Fraction(first[1], denom_plus),
-        phi_minus=Fraction(-last[1], last[0]),
-    )
-
-
 def orbit_set_index(
     domain: ConcaveDomain, generator: ConcaveGenerator, m_plus: int, m_minus: int
 ) -> int:
     """Index of an orbit set with exceptional-orbit powers: the combinatorial
     index of the auxiliary path (m_plus horizontal unit edges, the
     generator's edges, m_minus horizontal unit edges), plus 2 per
-    exceptional orbit and twice each rotation floor sum.
-
-    The floors are read under a perturbation of the end edges that moves
-    phi_plus down and phi_minus up, as E_n(a, b) -> E_n(a, b(1+eps)) does
-    on the ellipsoid's triangle: floor'(i*phi_plus) is i*phi_plus - 1 where
-    that is an integer, so floor'(x) >= x - 1 with equality at integers."""
+    exceptional orbit and twice each rotation floor sum, read from the
+    domain's int end edges by bijectivity's _end_rotations."""
     n = domain.n
     if generator.path.n != n:
         raise MismatchedN(f"generator path has n={generator.path.n}, domain has n={n}")
@@ -133,14 +106,10 @@ def orbit_set_index(
     for v in aux.vertices():
         if not geo.in_cone(v, n):
             raise PathError(f"auxiliary path vertex {v} leaves the cone")
-    rot = rotation_numbers(domain)
+    ints = domain.ints
+    plus, minus = _end_rotations(n, geo.vec_sub(ints[1], ints[0]), geo.vec_sub(ints[-1], ints[-2]))
     total = generator_index(ConcaveGenerator(aux, generator.labels)) + 2 * m_plus + 2 * m_minus
-    # each sum runs over 1 <= i <= m of (i*p - shift) // q, phi = p/q: an
-    # integral i*phi_plus counts one less, as at E_n(a, b(1+eps))
-    for phi, m, shift in ((rot.phi_plus, m_plus, 1), (rot.phi_minus, m_minus, 0)):
-        p, q = phi.numerator, phi.denominator
-        total += 2 * geo.floor_sum(m, q, p, p - shift)
-    return total
+    return total + 2 * (_rotation_sum(plus, m_plus) + _rotation_sum(minus, m_minus))
 
 
 # ---------------------------------------------------------------------------

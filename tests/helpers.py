@@ -310,6 +310,33 @@ def brute_floor_sum(phi, m):
     return sum(floor(i * phi) for i in range(1, m + 1))
 
 
+def rotation_numbers(domain):
+    """(phi_plus, phi_minus) of the exceptional orbits in Fractions, from the
+    end edges of domain.vertices: y/(x - n*y) of the first, -y/x of the last."""
+    v = domain.vertices
+    (x1, y1), (x2, y2) = [(q[0] - p[0], q[1] - p[1]) for p, q in ((v[0], v[1]), (v[-2], v[-1]))]
+    return y1 / (x1 - domain.n * y1), -y2 / x2
+
+
+def exceptional_index(domain, m_plus, m_minus):
+    """Index of e+^m_plus e-^m_minus with the empty generator, from Pick and
+    term-by-term floor sums: the auxiliary chain runs along y = M from the
+    ray to the y-axis, turning at (M*n - m_plus, M), and phi_plus is moved
+    down by less than 1/(q*m_plus), so only its integral multiples
+    i*phi_plus, i <= m_plus, drop below an integer."""
+    n = domain.n
+    big_m = (m_plus + m_minus) // n
+    chain = [(big_m * n, big_m)]
+    if m_plus and m_minus:
+        chain.append((big_m * n - m_plus, big_m))
+    chain.append((0, big_m))
+    count = pick_lattice_count(n, chain) if big_m else 0
+    phi_plus, phi_minus = rotation_numbers(domain)
+    phi_plus -= Fraction(1, 2 * phi_plus.denominator * (m_plus + 1))
+    floors = brute_floor_sum(phi_plus, m_plus) + brute_floor_sum(phi_minus, m_minus)
+    return 2 * (count + m_plus + m_minus + floors)
+
+
 def floor_sum_by_periods(phi, m):
     """sum of floor(i*phi) over 0 <= i <= m: the reciprocity closed form
     over the full periods of phi's denominator q, then the tail term by

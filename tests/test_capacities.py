@@ -21,10 +21,10 @@ from helpers import (
     ball_closed_form,
     brute_bijectivity,
     brute_combination_sequence,
-    brute_floor_sum,
     brute_orbit_index,
     brute_path_length,
     collected_oracle,
+    exceptional_index,
     floor_sum_by_periods,
     fraction_random_concave_domain,
     lattice_index,
@@ -32,6 +32,7 @@ from helpers import (
     packing_closed_form,
     perturbed,
     pick_lattice_count,
+    rotation_numbers,
     sequence_of,
 )
 
@@ -601,38 +602,23 @@ class TestOrbitSetIndex:
             e.orbit_set_index(EXAMPLE, gen, 0, 0)
 
     def test_exceptional_powers_against_pick_and_term_by_term_sums(self):
-        # empty generator: the auxiliary chain runs along y = M from the ray
-        # to the y-axis, turning at (M*n - m_plus, M)
         rng = random.Random(82)
         empty = {n: e.ConcaveGenerator(path=e.empty_path(n), labels=()) for n in range(1, 5)}
         for _ in range(120):
             dom = e.random_concave_domain(rng)
-            n = dom.n
             m_plus = rng.randint(0, 30)
             m_minus = rng.randint(0, 30)
-            m_minus += (-(m_plus + m_minus)) % n
-            big_m = (m_plus + m_minus) // n
-            chain = [(big_m * n, big_m)]
-            if m_plus and m_minus:
-                chain.append((big_m * n - m_plus, big_m))
-            chain.append((0, big_m))
-            count = pick_lattice_count(n, chain) if big_m else 0
-            rot = e.rotation_numbers(dom)
-            # phi_plus moved down by less than 1/(q*m_plus): only its
-            # integral multiples i*phi_plus, i <= m_plus, drop below an integer
-            phi_plus = rot.phi_plus - Fraction(1, 2 * rot.phi_plus.denominator * (m_plus + 1))
-            expected = 2 * count + 2 * m_plus + 2 * m_minus
-            expected += 2 * brute_floor_sum(phi_plus, m_plus)
-            expected += 2 * brute_floor_sum(rot.phi_minus, m_minus)
-            assert e.orbit_set_index(dom, empty[n], m_plus, m_minus) == expected
+            m_minus += (-(m_plus + m_minus)) % dom.n
+            expected = exceptional_index(dom, m_plus, m_minus)
+            assert e.orbit_set_index(dom, empty[dom.n], m_plus, m_minus) == expected
 
     def test_exceptional_powers_near_a_billion(self):
         # rotation numbers -2/9 and 2: the first edge (-5, 2) is that of
         # E_2(1, 9/5)'s triangle, whose (a - b)/(n*b) is -2/9; the empty
         # generator's auxiliary chain turns at (M*n - m_plus, M) = (m_minus, M)
         dom = e.validate_domain(2, [(6, 3), (1, 5), (0, 7)])
-        rot = e.rotation_numbers(dom)
-        assert (rot.phi_plus, rot.phi_minus) == (Fraction(-2, 9), 2)
+        phi_plus, phi_minus = rotation_numbers(dom)
+        assert (phi_plus, phi_minus) == (Fraction(-2, 9), 2)
         empty = e.ConcaveGenerator(path=e.empty_path(2), labels=())
         for m_plus, m_minus in [(10**9, 0), (999_999_937, 63)]:
             big_m = (m_plus + m_minus) // 2
@@ -643,8 +629,8 @@ class TestOrbitSetIndex:
             expected = 2 * pick_lattice_count(2, chain)
             expected += 2 * m_plus + 2 * m_minus
             # each of the m_plus // 9 integral i*phi_plus is read one lower
-            expected += 2 * (floor_sum_by_periods(rot.phi_plus, m_plus) - m_plus // 9)
-            expected += 2 * floor_sum_by_periods(rot.phi_minus, m_minus)
+            expected += 2 * (floor_sum_by_periods(phi_plus, m_plus) - m_plus // 9)
+            expected += 2 * floor_sum_by_periods(phi_minus, m_minus)
             assert e.orbit_set_index(dom, empty, m_plus, m_minus) == expected
 
 

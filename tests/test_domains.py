@@ -14,7 +14,13 @@ from echlens.errors import (
     ParseError,
     VertexOutsideCone,
 )
-from helpers import boundary_height, contains_point, omega_length
+from helpers import (
+    boundary_height,
+    contains_point,
+    exceptional_index,
+    omega_length,
+    rotation_numbers,
+)
 
 B21 = e.validate_domain(2, [(2, 1), (0, 1)])
 EXAMPLE = e.validate_domain(2, [(6, 3), (3, 2), (0, 2)])
@@ -103,34 +109,47 @@ class TestBlowup:
 
 
 class TestRotationNumbers:
+    # orbit_set_index reads the rotation numbers from the int end edges;
+    # helpers.rotation_numbers reads them in Fractions from the vertices
+    EMPTY = {n: e.ConcaveGenerator(e.empty_path(n), ()) for n in range(1, 5)}
+    # over V_2, every m_plus, m_minus <= 12 with an even sum
+    PAIRS = [(p, m) for p in range(13) for m in range(p % 2, 13, 2)]
+
     def test_ellipsoid_like(self):
-        # the triangle of E_2(1, 2): (a - b)/(n*b) and (b - a)/(n*a)
+        # the triangle of E_2(1, 2): (a - b)/(n*b) and (b - a)/(n*a); i*phi_plus
+        # is an integer at i = 4, 8, 12 and is read one lower, i*phi_minus
+        # at every even i and is not
         dom = e.validate_domain(2, [(2, 1), (0, 2)])
-        rot = e.rotation_numbers(dom)
-        assert rot.phi_plus == Fraction(-1, 4)
-        assert rot.phi_minus == Fraction(1, 2)
+        assert rotation_numbers(dom) == (Fraction(-1, 4), Fraction(1, 2))
+        for p, m in self.PAIRS:
+            assert e.orbit_set_index(dom, self.EMPTY[2], p, m) == exceptional_index(dom, p, m)
 
     def test_flat_boundary(self):
-        rot = e.rotation_numbers(B21)
-        assert rot.phi_plus == 0
-        assert rot.phi_minus == 0
+        assert rotation_numbers(B21) == (0, 0)
+        for p, m in self.PAIRS:
+            assert e.orbit_set_index(B21, self.EMPTY[2], p, m) == exceptional_index(B21, p, m)
 
     def test_scale_invariant_on_the_check_domains(self):
         # each rotation number is a ratio of one edge's coordinates
         rng = random.Random(DEFAULT_SEED)
         for _ in range(300):
             dom = e.random_concave_domain(rng)
-            rot = e.rotation_numbers(dom)
+            n, empty = dom.n, self.EMPTY[dom.n]
+            pairs = [(p, 12 * n - p) for p in range(0, 12 * n + 1, 5)]
+            index = [e.orbit_set_index(dom, empty, p, m) for p, m in pairs]
             for r in (Fraction(1, 3), Fraction(2), Fraction(7, 5)):
-                scaled = e.validate_domain(dom.n, [(r * x, r * y) for x, y in dom.vertices])
-                assert e.rotation_numbers(scaled) == rot
+                scaled = e.validate_domain(n, [(r * x, r * y) for x, y in dom.vertices])
+                assert [e.orbit_set_index(scaled, empty, p, m) for p, m in pairs] == index
 
     def test_degenerate_edge(self):
-        # a first edge parallel to the ray cannot pass validation, so build
-        # the value object directly to exercise the guard
+        # neither end edge can pass validation, so build the value objects
+        # directly to exercise the guards
         dom = e.ConcaveDomain(n=2, ints=((4, 2), (2, 1), (0, 1)), scale=1)
-        with pytest.raises(DegenerateEdge):
-            e.rotation_numbers(dom)
+        with pytest.raises(DegenerateEdge, match=r"first boundary edge runs along the \(n,1\)"):
+            e.orbit_set_index(dom, self.EMPTY[2], 0, 0)
+        dom = e.ConcaveDomain(n=2, ints=((2, 1), (0, 1), (0, 2)), scale=1)
+        with pytest.raises(DegenerateEdge, match="last boundary edge is vertical"):
+            e.orbit_set_index(dom, self.EMPTY[2], 0, 0)
 
 
 class TestGeometryQueries:

@@ -5,7 +5,6 @@ import os
 import pickle
 import subprocess
 import sys
-from fractions import Fraction
 from importlib import import_module
 
 import pytest
@@ -20,13 +19,13 @@ SUBMODULES = [
 ]
 EXPORTS = [
     "CapacitySequence", "ConcaveDomain", "ConcaveGenerator", "EchLensError",
-    "IntegralPath", "ObstructionReport", "RotationNumbers",
+    "IntegralPath", "ObstructionReport",
     "WeightExpansion", "capacities_via_oracle", "capacities_via_weights", "coround_corner",
     "cross", "domain_area", "ellipsoid_orbit_index", "ellipsoid_sequence", "empty_path",
     "enumerate_paths_up_to", "generator_index", "in_cone", "index_bijectivity_check",
     "lattice_count", "make_path", "obstruction_report", "orbit_set_index",
     "parse_domain_file", "parse_path_text", "path_from_vertices", "path_to_text",
-    "random_concave_domain", "rotation_numbers", "run_check", "singular_weight_expansion",
+    "random_concave_domain", "run_check", "singular_weight_expansion",
     "spectrum_from_orbit_indices", "union_sequence", "validate_domain",
 ]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,7 +81,8 @@ def _records():
         lambda: e.CapacitySequence([0, 1, 3], 2),
         lambda: e.ObstructionReport(3, ((1, 4, 2),), 2),
         lambda: e.validate_domain(2, [(4, 2), (0, 3)]),
-        lambda: e.RotationNumbers(Fraction(1, 3), Fraction(-1, 2)),
+        # a record a route returns
+        lambda: e.singular_weight_expansion(e.validate_domain(2, [(4, 2), (0, 3)])),
         lambda: e.IntegralPath(2, (2, 1), (((-1, 1), 2),)),
         lambda: e.ConcaveGenerator(path, ("e",)),
         lambda: e.WeightExpansion(2, (1,), 2),
@@ -146,13 +146,13 @@ class TestRecordConstructors:
 
     def test_wrong_fields(self):
         with pytest.raises(TypeError):
-            echlens.RotationNumbers(1)
+            echlens.ConcaveGenerator(1)
         with pytest.raises(TypeError):
-            echlens.RotationNumbers(1, 2, 3)
+            echlens.ConcaveGenerator(1, 2, 3)
         with pytest.raises(TypeError):
-            echlens.RotationNumbers(1, phi_plus=2)
+            echlens.ConcaveGenerator(1, path=2)
         with pytest.raises(TypeError):
-            echlens.RotationNumbers(1, phi=2)
+            echlens.ConcaveGenerator(1, phi=2)
 
 
 # prints the modules a CLI job loaded beyond a bare interpreter's, after
@@ -185,31 +185,42 @@ _SPECTRUM_NEVER = {"echlens.paths", "echlens.domains", "echlens.weights", "echle
 _ORACLE_NEVER = {"echlens.index", "fractions", "decimal", "numbers"}
 # nor does a packing job load path code
 _PACKING_NEVER = _ORACLE_NEVER | {"echlens.paths"}
-# (argv, the module the job runs, the modules it must not load), where {dom}
-# and {big} are domain files; no job loads dataclasses or inspect, nor
-# argparse, with the gettext and locale it imports: a well-formed argv is
-# parsed from the command's spec
+# (argv, the module the job runs, the modules it must not load, a line it
+# prints), where {dom} and {big} are domain files; no job loads dataclasses
+# or inspect, nor argparse, with the gettext and locale it imports: a
+# well-formed argv is parsed from the command's spec
 _NEVER = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
 _JOBS = [
     (["ball", "--a", "1", "--kmax", "0"],
-     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
+     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}, "0  0"),
     (["ellipsoid", "--n", "2", "--a", "1", "--b", "3/2", "--kmax", "2"],
-     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}),
+     "echlens.ellipsoid", _SPECTRUM_NEVER | {"echlens.bijectivity"}, "2  5/2"),
     (["bijectivity", "--n", "2", "--a", "1", "--b", "233/144", "--layers", "1"],
-     "echlens.bijectivity", _SPECTRUM_NEVER),
-    (["domain", "{dom}", "--method", "oracle", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
-    (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
-    (["check", "--trials", "1", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
-    (["domain", "{dom}", "--method", "weights", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
-    (["weights", "{dom}"], "echlens.weights", _PACKING_NEVER),
+     "echlens.bijectivity", _SPECTRUM_NEVER, "4  1  1"),
+    (["domain", "{dom}", "--method", "oracle", "--kmax", "2"],
+     "echlens.paths", _ORACLE_NEVER, "2  5"),
+    (["blowup", "{dom}", "--delta", "1/4", "--kmax", "2"],
+     "echlens.paths", _ORACLE_NEVER, "1  7/2"),
+    (["check", "--trials", "1", "--kmax", "2"],
+     "echlens.paths", _ORACLE_NEVER, "PASS trials=1 kmax=2"),
+    (["domain", "{dom}", "--method", "weights", "--kmax", "2"],
+     "echlens.weights", _PACKING_NEVER, "2  5"),
+    (["weights", "{dom}"], "echlens.weights", _PACKING_NEVER, "singular 2"),
     # the source is twice the target, so the report prints violations
-    (["obstruct", "{big}", "{dom}", "--kmax", "2"], "echlens.weights", _PACKING_NEVER),
+    (["obstruct", "{big}", "{dom}", "--kmax", "2"],
+     "echlens.weights", _PACKING_NEVER, "violation at k=1: 8 > 4"),
     # the routes agree, so the job prints DIFF: none and builds no Fraction
-    (["domain", "{dom}", "--method", "both", "--kmax", "2"], "echlens.paths", _ORACLE_NEVER),
+    (["domain", "{dom}", "--method", "both", "--kmax", "2"],
+     "echlens.paths", _ORACLE_NEVER, "DIFF: none"),
     # the index command's spec lives in domain_cli, but its ellipsoid kind
     # runs the closed form in bijectivity and builds no domain, path or record
     (["index", "ellipsoid", "--n", "2", "--a", "1", "--b", "233/144", "--r", "2", "--s", "0"],
-     "echlens.bijectivity", _SPECTRUM_NEVER - {"echlens.domain_cli"} | {"echlens.record"}),
+     "echlens.bijectivity", _SPECTRUM_NEVER - {"echlens.domain_cli"} | {"echlens.record"},
+     "I = 2"),
+    # its orbit kind reads the rotation floors from the domain's int end edges
+    (["index", "orbit", "{dom}", "--m-plus", "2",
+      "--path", "start=(2,1); edges=[(-2,1)x1]; labels=[e]"],
+     "echlens.index", _ORACLE_NEVER - {"echlens.index"}, "I = 18"),
 ]
 
 
@@ -228,18 +239,13 @@ def _cold_job(argv, tmp_path):
     return result.stdout, int(code), set(loaded)
 
 
-@pytest.mark.parametrize("argv", [argv for argv, _, _ in _JOBS])
+@pytest.mark.parametrize("argv", [argv for argv, _, _, _ in _JOBS])
 def test_cold_job_loads_only_what_it_runs(argv, tmp_path):
-    runs, unwanted = next((r, u) for a, r, u in _JOBS if a == argv)
+    runs, unwanted, line = next((r, u, p) for a, r, u, p in _JOBS if a == argv)
     out, code, loaded = _cold_job(argv, tmp_path)
     assert code == 0
     assert runs in loaded
-    if argv[0] == "obstruct":
-        assert out.startswith("violation at k=1: 8 > 4\n")
-    if "both" in argv:
-        assert "DIFF: none\n" in out
-    if argv[0] == "index":
-        assert out.startswith("I = 2\n")
+    assert line in out.splitlines()
     assert not loaded & (_NEVER | unwanted)
 
 
