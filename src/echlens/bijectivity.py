@@ -13,7 +13,7 @@ from itertools import accumulate
 from math import isqrt
 
 from .ellipsoid import ellipsoid_ints
-from .errors import DegenerateEdge, HomologyNotZero, ResourceLimit
+from .errors import EchLensError, ResourceLimit
 from .geometry import cross, floor_sum, format_ratio
 
 INDEX_MULTIPLICITY_BUDGET = 1 << 20
@@ -26,17 +26,13 @@ def _orbit_set_count(n: int, layers: int) -> int:
 
 def _end_rotations(n: int, first, last):
     """The exceptional orbits' rotation numbers from the int end edges of a
-    chain, as (p, q, shift) with q > 0: phi_plus = first.y/cross(first, (n, 1))
-    with shift 1 and phi_minus = -last.y/last.x with shift 0.  A floor is read
-    as (i*p - shift) // q, the perturbation E_n(a, b) -> E_n(a, b(1+eps)):
-    an integral i*phi_plus counts one less, so floor'(x) >= x - 1."""
-    denom_plus = cross(first, (n, 1))
-    if denom_plus == 0:
-        raise DegenerateEdge("first boundary edge runs along the (n,1)-ray")
-    if last[0] == 0:
-        raise DegenerateEdge("last boundary edge is vertical")
-    rotations = ((first[1], denom_plus, 1), (-last[1], last[0], 0))
-    return tuple((p, q, shift) if q > 0 else (-p, -q, shift) for p, q, shift in rotations)
+    checked chain, as (p, q, shift) with q > 0: phi_plus = first.y/cross(first,
+    (n, 1)) with shift 1 and phi_minus = -last.y/last.x with shift 0.  Both
+    denominators are negative on every such chain, as its second vertex lies
+    above the (n,1)-ray and x strictly decreases.  A floor is read as
+    (i*p - shift) // q, the perturbation E_n(a, b) -> E_n(a, b(1+eps)): an
+    integral i*phi_plus counts one less, so floor'(x) >= x - 1."""
+    return (-first[1], -cross(first, (n, 1)), 1), (last[1], -last[0], 0)
 
 
 def _ellipsoid_rotations(n: int, ia: int, ib: int):
@@ -74,7 +70,7 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     if r < 0 or s < 0:
         raise ValueError("multiplicities must be non-negative")
     if (r + s) % n != 0:
-        raise HomologyNotZero(f"r + s = {r + s} is not a multiple of n = {n}")
+        raise EchLensError(f"r + s = {r + s} is not a multiple of n = {n}")
     plus, minus = _ellipsoid_rotations(n, ia, ib)
     return _index(n, r, s, _rotation_sum(plus, r), _rotation_sum(minus, s))
 

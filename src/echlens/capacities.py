@@ -14,7 +14,7 @@ from itertools import islice
 from math import gcd, lcm
 
 from .ellipsoid import ellipsoid_ints, ellipsoid_values
-from .errors import DeltaTooLarge, InsufficientLength
+from .errors import EchLensError
 from .geometry import cross, format_ratio
 from .record import Record, _set
 
@@ -90,10 +90,10 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
         raise ValueError(f"kmax must be non-negative, got {kmax}")
     seqs = list(sequences)
     if not seqs:
-        raise InsufficientLength("need at least one sequence")
+        raise EchLensError("need at least one sequence")
     for s in seqs:
         if len(s) < kmax + 1:
-            raise InsufficientLength(f"sequence of length {len(s)} does not cover kmax={kmax}")
+            raise EchLensError(f"sequence of length {len(s)} does not cover kmax={kmax}")
     scale = lcm(*(s.scale for s in seqs))
     factors = [[v * (scale // s.scale) for v in s.ints[: kmax + 1]] for s in seqs]
     acc = factors[0]
@@ -145,7 +145,7 @@ def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySeq
     shift = p * (scale // q)
     # the blown-up region must stay strictly under the lowest vertex
     if shift < 0 or (shift > 0 and shift >= factor * min(y for _, y in verts)):
-        raise DeltaTooLarge(f"delta={format_ratio(p, q)} is not admissible for this domain")
+        raise EchLensError(f"delta={format_ratio(p, q)} is not admissible for this domain")
     prices = {}
     best = [None] * (kmax + 1)
 
@@ -196,20 +196,9 @@ class ObstructionReport(Record):
         return bool(self.rows)
 
 
-def obstruction_report(
-    source: CapacitySequence, target: CapacitySequence, kmax=None
-) -> ObstructionReport:
-    """Indices where source capacities exceed target capacities (embedding
-    obstructions by monotonicity)."""
-    if kmax is None:
-        kmax = min(len(source), len(target)) - 1
-    elif kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
-    if len(source) <= kmax or len(target) <= kmax:
-        raise InsufficientLength(
-            f"sequences of length {len(source)}, {len(target)} do not cover kmax={kmax}"
-        )
-    rows = tuple(
-        (k, sv, tv) for k, sv, tv, _ in _differences(source, target) if k <= kmax and sv > tv
-    )
+def obstruction_report(source: CapacitySequence, target: CapacitySequence) -> ObstructionReport:
+    """Indices k where source capacities exceed target capacities (embedding
+    obstructions by monotonicity), up to kmax, the last k both cover."""
+    rows = tuple((k, sv, tv) for k, sv, tv, _ in _differences(source, target) if sv > tv)
+    kmax = min(len(source), len(target)) - 1
     return ObstructionReport(kmax, rows, lcm(source.scale, target.scale))

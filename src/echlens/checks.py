@@ -12,7 +12,7 @@ import random
 
 from .capacities import _differences, capacities_via_oracle, capacities_via_weights
 from .domains import ConcaveDomain, _from_ratios
-from .errors import DomainError
+from .errors import EchLensError
 
 DEFAULT_SEED = 2024
 MAX_COORD = 8
@@ -50,7 +50,7 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
         vertices.append(((0, 1), (rng.randint(1, MAX_COORD * d), d)))
         try:
             return _from_ratios(nn, vertices)
-        except DomainError:
+        except EchLensError:
             continue
 
 

@@ -139,7 +139,7 @@ def cmd_obstruct(args) -> int:
 
     source = cap.capacities_via_weights(_load_domain(args.source), args.kmax)
     target = cap.capacities_via_weights(_load_domain(args.target), args.kmax)
-    report = cap.obstruction_report(source, target, kmax=args.kmax)
+    report = cap.obstruction_report(source, target)
     if report.obstructed:
         scale = report.scale
         for k, sv, tv in report.rows:

@@ -7,17 +7,17 @@ from __future__ import annotations
 import heapq
 from math import lcm
 
-from .errors import NonPositivePeriod
+from .errors import EchLensError
 
 
 def ellipsoid_ints(n: int, a, b):
     """(ia, ib, d) with a = ia/d and b = ib/d for E_n(a, b), the one check
-    of its parameters: NonPositivePeriod unless n >= 1 and a, b > 0."""
+    of its parameters: EchLensError unless n >= 1 and a, b > 0."""
     # a and b are ints or Fractions
     if a <= 0 or b <= 0:
-        raise NonPositivePeriod(f"ellipsoid parameters must be positive, got {a}, {b}")
+        raise EchLensError(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
-        raise NonPositivePeriod(f"n must be a positive integer, got {n}")
+        raise EchLensError(f"n must be a positive integer, got {n}")
     return ratio_ints((a.numerator, a.denominator), (b.numerator, b.denominator))
 
 

@@ -1,72 +1,12 @@
-"""Exception hierarchy shared by all echlens modules."""
+"""The three errors the library raises for its callers to tell apart."""
 
 
 class EchLensError(Exception):
-    """Base class for all library errors."""
-
-
-class DomainError(EchLensError):
-    """A candidate boundary failed validation."""
-
-
-class EmptyBoundary(DomainError):
-    pass
-
-
-class EndpointNotOnRay(DomainError):
-    pass
-
-
-class VertexOutsideCone(DomainError):
-    pass
-
-
-class NotGraphOfFunction(DomainError):
-    pass
-
-
-class ComplementNotConvex(DomainError):
-    pass
-
-
-class PathError(EchLensError):
-    """A candidate lattice path failed validation."""
-
-
-class ZeroEdge(PathError):
-    pass
-
-
-class MismatchedN(EchLensError):
-    pass
-
-
-class DeltaTooLarge(EchLensError):
-    pass
-
-
-class DegenerateEdge(EchLensError):
-    pass
-
-
-class InvalidVertex(EchLensError):
-    pass
+    """Bad input, for which the CLI exits 2; the base of the other two."""
 
 
 class ResourceLimit(EchLensError):
-    pass
-
-
-class NonPositivePeriod(EchLensError):
-    pass
-
-
-class InsufficientLength(EchLensError):
-    pass
-
-
-class HomologyNotZero(EchLensError):
-    pass
+    """A budget was exceeded: the CLI exits 3."""
 
 
 class ParseError(EchLensError):

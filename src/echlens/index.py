@@ -17,14 +17,7 @@ from math import gcd
 from . import geometry as geo
 from .bijectivity import _end_rotations, _rotation_sum
 from .domains import ConcaveDomain, _check_chain
-from .errors import (
-    DomainError,
-    HomologyNotZero,
-    InvalidVertex,
-    MismatchedN,
-    PathError,
-    ZeroEdge,
-)
+from .errors import EchLensError
 from .paths import IntegralPath, empty_path, lattice_count
 from .record import Record
 
@@ -33,28 +26,20 @@ class ConcaveGenerator(Record):
     __slots__ = ("path", "labels")  # labels: one 'e'/'h' per distinct edge direction
 
 
-def _boundary(path: IntegralPath):
-    """Check that the path's vertices form a domain boundary chain in V_n."""
-    try:
-        _check_chain(path.n, path.vertices(), 1)
-    except DomainError as exc:
-        raise PathError(str(exc)) from exc
-
-
 def make_path(n: int, start, edges) -> IntegralPath:
     """The empty path at the origin, or a path with primitive directions and
     positive multiplicities whose vertices pass the domain chain check as a
     boundary chain of V_n (so it starts at M*(n,1) with M > 0)."""
     if n < 1:
-        raise PathError(f"n must be positive, got {n}")
+        raise EchLensError(f"n must be positive, got {n}")
     for d, m in edges:
         if not geo.is_primitive(d):
-            raise PathError(f"direction {geo.format_point(d)} is not primitive")
+            raise EchLensError(f"direction {geo.format_point(d)} is not primitive")
         if m < 1:
-            raise PathError(f"multiplicity {m} must be positive")
+            raise EchLensError(f"multiplicity {m} must be positive")
     path = IntegralPath(n=n, start=tuple(start), edges=tuple(edges))
     if path != empty_path(n):
-        _boundary(path)
+        _check_chain(n, path.vertices(), 1)
     return path
 
 
@@ -64,7 +49,7 @@ def _edges(verts) -> tuple:
     for u, v in zip(verts, verts[1:]):
         dx, dy = v[0] - u[0], v[1] - u[1]
         if (dx, dy) == (0, 0):
-            raise ZeroEdge("repeated vertex in chain")
+            raise EchLensError("repeated vertex in chain")
         g = gcd(abs(dx), abs(dy))
         d = (dx // g, dy // g)
         if edges and edges[-1][0] == d:
@@ -94,18 +79,18 @@ def orbit_set_index(
     domain's int end edges by bijectivity's _end_rotations."""
     n = domain.n
     if generator.path.n != n:
-        raise MismatchedN(f"generator path has n={generator.path.n}, domain has n={n}")
+        raise EchLensError(f"generator path has n={generator.path.n}, domain has n={n}")
     if m_plus < 0 or m_minus < 0:
         raise ValueError("exceptional multiplicities must be non-negative")
     run = m_plus + m_minus + sum(-d[0] * m for d, m in generator.path.edges)
     if run % n != 0:
-        raise HomologyNotZero(f"total horizontal run {run} is not a multiple of n = {n}")
+        raise EchLensError(f"total horizontal run {run} is not a multiple of n = {n}")
     big_m = run // n
     edges = (((-1, 0), m_plus), *generator.path.edges, ((-1, 0), m_minus))
     aux = IntegralPath(n, (big_m * n, big_m), tuple(e for e in edges if e[1]))
     for v in aux.vertices():
         if not geo.in_cone(v, n):
-            raise PathError(f"auxiliary path vertex {v} leaves the cone")
+            raise EchLensError(f"auxiliary path vertex {v} leaves the cone")
     ints = domain.ints
     plus, minus = _end_rotations(n, geo.vec_sub(ints[1], ints[0]), geo.vec_sub(ints[-1], ints[-2]))
     total = generator_index(ConcaveGenerator(aux, generator.labels)) + 2 * m_plus + 2 * m_minus
@@ -127,8 +112,8 @@ def coround_corner(path: IntegralPath, vertex_index: int) -> IntegralPath:
     concave and in the cone."""
     verts = path.vertices()
     if not 1 <= vertex_index <= len(verts) - 2:
-        raise InvalidVertex(f"vertex index {vertex_index} is not an interior vertex")
-    _boundary(path)
+        raise EchLensError(f"vertex index {vertex_index} is not an interior vertex")
+    _check_chain(path.n, verts, 1)
     v = verts[vertex_index]
     da, db = path.edges[vertex_index - 1][0], path.edges[vertex_index][0]
     # both edge lines pass through v; lower hull, left to right
@@ -165,20 +150,20 @@ def parse_path_text(n: int, text: str):
     """Inverse of path_to_text: returns (IntegralPath, labels-or-None)."""
     m = re.match(_PATH, text.strip())
     if m is None:
-        raise PathError(f"cannot parse path text {text!r}")
+        raise EchLensError(f"cannot parse path text {text!r}")
     start = (int(m.group(1)), int(m.group(2)))
     body = m.group(3)
     if re.fullmatch(_EDGE_LIST, body) is None:
-        raise PathError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
+        raise EchLensError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
     edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in re.findall(_EDGE, body))
     labels, text = None, m.group(4)
     if text is not None:
         # an empty token is an error; only `labels=[]` lists no labels
         labels = tuple(tok.strip() for tok in text.split(",")) if text.strip() else ()
         if any(lab not in ("e", "h") for lab in labels):
-            raise PathError(f"labels must be 'e' or 'h', got [{text}]")
+            raise EchLensError(f"labels must be 'e' or 'h', got [{text}]")
         if len(labels) != len(edges):
-            raise PathError("need exactly one label per distinct edge direction")
+            raise EchLensError("need exactly one label per distinct edge direction")
     return make_path(n, start, edges), labels
 
 

@@ -12,7 +12,7 @@ terminates for rational input, and is refused past PEEL_BUDGET weights.
 from __future__ import annotations
 
 from .domains import ConcaveDomain, _check_chain, _twice_area
-from .errors import DomainError, ResourceLimit
+from .errors import EchLensError, ResourceLimit
 from .geometry import format_ratio
 from .record import Record
 
@@ -75,7 +75,7 @@ def _peel(n: int, verts, scale: int):
 def _piece(verts, scale: int):
     try:
         _check_chain(1, verts, scale)
-    except DomainError as exc:
+    except EchLensError as exc:
         raise AssertionError(f"peeled piece is not a V_1 domain: {exc}") from exc
     return verts
 

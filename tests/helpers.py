@@ -6,7 +6,7 @@ from math import ceil, floor, gcd, lcm
 
 from echlens.capacities import CapacitySequence
 from echlens.domains import validate_domain
-from echlens.errors import DomainError
+from echlens.errors import EchLensError
 from echlens.geometry import cross, in_cone
 from echlens.index import make_path, path_from_vertices
 from echlens.paths import enumerate_paths_up_to
@@ -209,7 +209,7 @@ def fraction_random_concave_domain(rng, n=None, max_coord=8):
         vertices.append((Fraction(0), Fraction(rng.randint(1, max_coord * d), d)))
         try:
             return validate_domain(nn, vertices)
-        except DomainError:
+        except EchLensError:
             continue
 
 
@@ -259,7 +259,7 @@ def large_denominator_domain(rng, n, den=10**6):
         verts = [(n * a0, a0), *((x, rational(8)) for x in xs), (0, rational(8))]
         try:
             return validate_domain(n, verts)
-        except DomainError:
+        except EchLensError:
             continue
 
 

@@ -546,10 +546,13 @@ class TestBijectivity:
         assert out.splitlines()[-1] == "verdict: TRUE"
 
     def test_degenerate(self, capsys):
-        # the ball is read as E_2(1, 1+eps), a nondegenerate ellipsoid
-        code, out, _ = run(capsys, ["bijectivity", "--n", "2", "--a", "1", "--b", "1", "--layers", "2"])
-        assert code == 0
-        assert out.splitlines()[-1] == "verdict: TRUE"
+        # the ball is read as E_2(1, 1+eps), a nondegenerate ellipsoid; its
+        # i*phi are all integers, and this exited 2 when such ratios were refused
+        for layers in ("2", "6"):
+            argv = ["bijectivity", "--n", "2", "--a", "1", "--b", "1", "--layers", layers]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out.splitlines()[-1] == "verdict: TRUE"
 
     def test_far_ratio_true(self, capsys):
         code, out, _ = run(

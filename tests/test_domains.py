@@ -5,15 +5,7 @@ import pytest
 
 import echlens as e
 from echlens.checks import DEFAULT_SEED
-from echlens.errors import (
-    ComplementNotConvex,
-    DegenerateEdge,
-    EmptyBoundary,
-    EndpointNotOnRay,
-    NotGraphOfFunction,
-    ParseError,
-    VertexOutsideCone,
-)
+from echlens.errors import EchLensError, ParseError
 from helpers import (
     boundary_height,
     contains_point,
@@ -41,41 +33,86 @@ class TestValidation:
         assert dom.vertices[0][1] == Fraction(3, 2)
 
     def test_too_few_vertices(self):
-        with pytest.raises(EmptyBoundary):
+        with pytest.raises(EchLensError, match="^boundary needs at least two vertices$"):
             e.validate_domain(2, [(2, 1)])
 
     def test_first_vertex_off_ray(self):
-        with pytest.raises(EndpointNotOnRay):
+        with pytest.raises(EchLensError, match=r"^first vertex \(3,1\) is not a0\*\(2,1\)"):
             e.validate_domain(2, [(3, 1), (0, 1)])
 
     def test_last_vertex_off_axis(self):
-        with pytest.raises(EndpointNotOnRay):
+        with pytest.raises(EchLensError, match=r"^last vertex \(1,1\) is not \(0, a1\)"):
             e.validate_domain(2, [(2, 1), (1, 1)])
 
     def test_zero_height_endpoint(self):
-        with pytest.raises(EndpointNotOnRay):
+        with pytest.raises(EchLensError, match=r"^first vertex \(0,0\) is not a0\*\(2,1\)"):
             e.validate_domain(2, [(0, 0), (0, 1)])
 
     def test_vertex_outside_cone(self):
-        with pytest.raises(VertexOutsideCone):
+        with pytest.raises(EchLensError, match=r"^vertex \(3,1\) outside the cone V_2$"):
             e.validate_domain(2, [(4, 2), (3, 1), (0, 1)])
 
     def test_interior_vertex_on_ray(self):
-        with pytest.raises(VertexOutsideCone):
+        with pytest.raises(EchLensError, match=r"^interior vertex \(2,1\) lies on the cone"):
             e.validate_domain(2, [(4, 2), (2, 1), (0, 3)])
 
     def test_not_graph(self):
-        with pytest.raises(NotGraphOfFunction):
+        with pytest.raises(EchLensError, match=r"^x does not strictly decrease at \(4,2\)"):
             e.validate_domain(2, [(4, 2), (4, 3), (0, 3)])
 
     def test_complement_not_convex(self):
         # slopes must strictly decrease along the boundary
-        with pytest.raises(ComplementNotConvex):
+        with pytest.raises(EchLensError, match="^edge slopes not strictly decreasing at"):
             e.validate_domain(2, [(6, 3), (3, 2), (0, 1)])
 
     def test_bad_n(self):
-        with pytest.raises(VertexOutsideCone):
+        with pytest.raises(EchLensError, match="^n must be a positive integer, got 0$"):
             e.validate_domain(0, [(2, 1), (0, 1)])
+
+
+class TestConstructor:
+    # ConcaveDomain(n, ints, scale) is the one checked way to build a domain
+
+    def test_refuses_a_chain_off_the_ray(self):
+        # orbit_set_index priced this chain (as 2) when the constructor checked nothing
+        match = r"^first vertex \(-3,5\) is not a0\*\(2,1\) with a0 > 0$"
+        with pytest.raises(EchLensError, match=match):
+            e.ConcaveDomain(2, ((-3, 5), (2, -1)), 1)
+
+    def test_refuses_bad_n_and_scale(self):
+        with pytest.raises(EchLensError, match="^n must be a positive integer, got 0$"):
+            e.ConcaveDomain(0, ((2, 1), (0, 1)), 1)
+        with pytest.raises(EchLensError, match="^scale must be a positive integer, got -1$"):
+            e.ConcaveDomain(2, ((-2, -1), (0, -1)), -1)
+
+    def test_stores_lowest_terms(self):
+        dom = e.ConcaveDomain(1, ((2, 2), (0, 2)), 2)
+        reference = e.validate_domain(1, [(1, 1), (0, 1)])
+        assert dom == reference and hash(dom) == hash(reference)
+        assert (dom.ints, dom.scale) == (((1, 1), (0, 1)), 1)
+
+    def test_agrees_with_validate_domain_on_random_int_chains(self):
+        rng = random.Random(34)
+        built = 0
+        for _ in range(3000):
+            n, scale = rng.randint(1, 4), rng.randint(1, 3)
+            chain = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 4))]
+            # half the chains start on the ray and end on the y-axis
+            if rng.random() < 0.5:
+                a0 = rng.randint(1, 6)
+                chain = [(n * a0, a0), *chain[1:-1], (0, rng.randint(1, 6))]
+            try:
+                reference = e.validate_domain(
+                    n, [(Fraction(x, scale), Fraction(y, scale)) for x, y in chain]
+                )
+            except EchLensError as exc:
+                with pytest.raises(EchLensError) as info:
+                    e.ConcaveDomain(n, chain, scale)
+                assert str(info.value) == str(exc)
+            else:
+                assert e.ConcaveDomain(n, chain, scale) == reference
+                built += 1
+        assert 100 < built < 2900
 
 
 class TestEdgeLength:
@@ -142,14 +179,15 @@ class TestRotationNumbers:
                 assert [e.orbit_set_index(scaled, empty, p, m) for p, m in pairs] == index
 
     def test_degenerate_edge(self):
-        # neither end edge can pass validation, so build the value objects
-        # directly to exercise the guards
-        dom = e.ConcaveDomain(n=2, ints=((4, 2), (2, 1), (0, 1)), scale=1)
-        with pytest.raises(DegenerateEdge, match=r"first boundary edge runs along the \(n,1\)"):
-            e.orbit_set_index(dom, self.EMPTY[2], 0, 0)
-        dom = e.ConcaveDomain(n=2, ints=((2, 1), (0, 1), (0, 2)), scale=1)
-        with pytest.raises(DegenerateEdge, match="last boundary edge is vertical"):
-            e.orbit_set_index(dom, self.EMPTY[2], 0, 0)
+        # a first edge along the (n,1)-ray or a vertical last edge puts an
+        # interior vertex on the cone's boundary, so the constructor refuses
+        # both and _end_rotations never divides by zero
+        match = r"^interior vertex \(2,1\) lies on the cone boundary$"
+        with pytest.raises(EchLensError, match=match):
+            e.ConcaveDomain(n=2, ints=((4, 2), (2, 1), (0, 1)), scale=1)
+        match = r"^interior vertex \(0,1\) lies on the cone boundary$"
+        with pytest.raises(EchLensError, match=match):
+            e.ConcaveDomain(n=2, ints=((2, 1), (0, 1), (0, 2)), scale=1)
 
 
 class TestGeometryQueries:
@@ -209,5 +247,5 @@ class TestParseDomainFile:
             e.parse_domain_file("n = 2\nfoo = 1\nvertices = (2,1) (0,1)\n")
 
     def test_invalid_domain_propagates(self):
-        with pytest.raises(EndpointNotOnRay):
+        with pytest.raises(EchLensError, match=r"^first vertex \(3,1\) is not a0\*\(2,1\)"):
             e.parse_domain_file("n = 2\nvertices = (3,1) (0,1)\n")

@@ -4,7 +4,7 @@ import pytest
 
 import echlens as e
 from echlens import paths
-from echlens.errors import InvalidVertex, PathError, ResourceLimit, ZeroEdge
+from echlens.errors import EchLensError, ResourceLimit
 from helpers import (
     brute_completion_bound,
     brute_edge_count,
@@ -27,26 +27,30 @@ class TestConstruction:
         assert p.vertices() == [(4, 2), (3, 2), (0, 3)]
 
     @pytest.mark.parametrize(
-        "start,edges",
+        "start,edges,match",
         [
-            ((3, 1), (((-3, 1), 1),)),  # start off the ray
-            ((2, 1), (((-2, 2), 1),)),  # non-primitive direction
-            ((2, 1), (((1, 0), 1),)),  # rightward direction
-            ((2, 1), (((-1, 0), 1),)),  # does not reach the y-axis
-            ((2, 1), (((-1, 0), 1), ((-1, 0), 1))),  # repeated direction
-            ((2, 1), (((-1, 1), 1), ((-1, 0), 1))),  # slopes decreasing
-            ((4, 2), (((-1, -1), 2), ((-1, 1), 2))),  # touches ray midway
-            ((0, 0), (((-1, 0), 0),)),  # zero multiplicity
-            ((2, 1), (((-2, -1), 1),)),  # ends at the apex
+            ((3, 1), (((-3, 1), 1),), r"^first vertex \(3,1\)"),  # start off the ray
+            ((2, 1), (((-2, 2), 1),), "is not primitive$"),  # non-primitive direction
+            ((2, 1), (((1, 0), 1),), r"^last vertex \(3,1\)"),  # rightward direction
+            ((2, 1), (((-1, 0), 1),), r"^last vertex \(1,1\)"),  # does not reach the y-axis
+            # repeated direction
+            ((2, 1), (((-1, 0), 1), ((-1, 0), 1)), r"^edge slopes .* \(-1,0\) -> \(-1,0\)$"),
+            # slopes decreasing
+            ((2, 1), (((-1, 1), 1), ((-1, 0), 1)), r"^edge slopes .* \(-1,1\) -> \(-1,0\)$"),
+            # touches ray midway
+            ((4, 2), (((-1, -1), 2), ((-1, 1), 2)), r"^vertex \(2,0\) outside the cone"),
+            ((0, 0), (((-1, 0), 0),), "^multiplicity 0 must be positive$"),  # zero multiplicity
+            ((2, 1), (((-2, -1), 1),), r"^last vertex \(0,0\)"),  # ends at the apex
         ],
+        ids=[f"start{i}-edges{i}" for i in range(9)],
     )
-    def test_rejects(self, start, edges):
-        with pytest.raises(PathError):
+    def test_rejects(self, start, edges, match):
+        with pytest.raises(EchLensError, match=match):
             e.make_path(2, start, edges)
 
     def test_is_concave_path(self):
         assert e.make_path(2, (2, 1), (((-2, 1), 1),)).vertices()[-1] == (0, 2)
-        with pytest.raises(PathError):
+        with pytest.raises(EchLensError, match="^boundary needs at least two vertices$"):
             e.make_path(2, (4, 2), ())
 
     def test_from_vertices_collapses(self):
@@ -54,7 +58,7 @@ class TestConstruction:
         assert p.edges == (((-1, 0), 2), ((-2, 1), 1))
 
     def test_from_vertices_rejects_a_repeated_vertex(self):
-        with pytest.raises(ZeroEdge, match="repeated vertex"):
+        with pytest.raises(EchLensError, match="^repeated vertex in chain$"):
             e.path_from_vertices(1, [(2, 2), (2, 2), (0, 3)])
 
     def test_text_roundtrip(self):
@@ -249,7 +253,7 @@ class TestEnumeration:
 class TestCoround:
     def test_invalid_vertex(self):
         p = e.make_path(2, (2, 1), (((-2, 1), 1),))
-        with pytest.raises(InvalidVertex):
+        with pytest.raises(EchLensError, match="^vertex index 0 is not an interior vertex$"):
             e.coround_corner(p, 0)
 
     def test_monotone_on_enumerated_paths(self):
@@ -323,7 +327,7 @@ class TestCoround:
     def test_vertical_edge_is_a_path_error(self):
         # unvalidated, so the check runs before any column is divided out
         p = paths.IntegralPath(1, (2, 2), (((-1, 1), 1), ((0, 1), 1), ((-1, 2), 1)))
-        with pytest.raises(PathError, match="x does not strictly decrease"):
+        with pytest.raises(EchLensError, match="x does not strictly decrease"):
             e.coround_corner(p, 2)
-        with pytest.raises(PathError, match="x does not strictly decrease"):
+        with pytest.raises(EchLensError, match="x does not strictly decrease"):
             e.coround_corner(p, 1)
