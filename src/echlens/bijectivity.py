@@ -68,9 +68,10 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
     each rotation floor sum as one floor_sum."""
     ia, ib, _ = ellipsoid_ints(n, a, b)
     if r < 0 or s < 0:
-        raise ValueError("multiplicities must be non-negative")
+        raise EchLensError("multiplicities must be non-negative")
     if (r + s) % n != 0:
-        raise EchLensError(f"r + s = {r + s} is not a multiple of n = {n}")
+        # format_ratio raises EchLensError past Python's int-to-text digit limit
+        raise EchLensError(f"r + s = {format_ratio(r + s, 1)} is not a multiple of n = {n}")
     plus, minus = _ellipsoid_rotations(n, ia, ib)
     return _index(n, r, s, _rotation_sum(plus, r), _rotation_sum(minus, s))
 
@@ -102,7 +103,7 @@ def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
     ResourceLimit before any work.
     """
     if kmax_layers < 0:
-        raise ValueError("layer count must be non-negative")
+        raise EchLensError("layer count must be non-negative")
     target_count = _orbit_set_count(n, kmax_layers)
     bound = 2 * (target_count - 1)
     top = kmax_layers * n
@@ -115,9 +116,9 @@ def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
     if max(top_r, top_s) > INDEX_MULTIPLICITY_BUDGET:
         raise ResourceLimit(
             f"orbit sets of a={format_ratio(ia, d)}, b={format_ratio(ib, d)} up to layer "
-            f"{u_max // (n * min(ia, ib))} can enter the window of {kmax_layers} "
-            f"layers; their multiplicities reach "
-            f"{max(top_r, top_s)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
+            f"{format_ratio(u_max // (n * min(ia, ib)), 1)} can enter the window of "
+            f"{kmax_layers} layers; their multiplicities reach "
+            f"{format_ratio(max(top_r, top_s), 1)}, over the budget of {INDEX_MULTIPLICITY_BUDGET}"
         )
     # floors_plus[r] is the phi_plus floor sum at multiplicity r
     plus, minus = _ellipsoid_rotations(n, ia, ib)
@@ -141,7 +142,7 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
     """Actions a*r + b*s of the orbit sets with index 0, 2, ..., 2(count-1)."""
     ia, ib, d = ellipsoid_ints(n, a, b)
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise EchLensError(f"count must be non-negative, got {count}")
     layers = 1
     while _orbit_set_count(n, layers) < count:
         layers += 1

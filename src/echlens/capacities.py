@@ -10,6 +10,7 @@ and the index formulas in index.py.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from math import gcd, lcm
 
@@ -44,15 +45,17 @@ class CapacitySequence(Record):
         # tuple is the only one built
         if not isinstance(ints, (tuple, list)):
             ints = tuple(ints)
+        # every route builds its sequences from its own ints, so a broken
+        # invariant is the library's fault, not its caller's input
         if not ints:
-            raise ValueError("a capacity sequence holds c_0..c_kmax, got no values")
+            raise AssertionError("a capacity sequence holds c_0..c_kmax, got no values")
         if scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale}")
+            raise AssertionError(f"scale must be a positive integer, got {scale}")
         if ints[0] != 0:
-            raise ValueError(f"c_0 must be 0, got {format_ratio(ints[0], scale)}")
+            raise AssertionError(f"c_0 must be 0, got {format_ratio(ints[0], scale)}")
         for k in range(len(ints) - 1):
             if ints[k] > ints[k + 1]:
-                raise ValueError(f"sequence decreases at k={k}")
+                raise AssertionError(f"sequence decreases at k={k}")
         g = gcd(scale, *ints)
         _set(self, "ints", tuple(ints) if g == 1 else tuple(v // g for v in ints))
         _set(self, "scale", scale // g)
@@ -79,7 +82,9 @@ def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
     singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
     ia, ib, scale = ellipsoid_ints(n, a, b)
     if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
+        raise EchLensError(f"kmax must be non-negative, got {kmax}")
+    if kmax >= sys.maxsize:
+        raise EchLensError(f"kmax must be below {sys.maxsize}, got {kmax}")
     return CapacitySequence(list(islice(ellipsoid_values(n, ia, ib), kmax + 1)), scale)
 
 
@@ -87,7 +92,7 @@ def union_sequence(sequences, kmax: int) -> CapacitySequence:
     """Iterated max-plus convolution (disjoint-union capacities), exact on
     ints scaled by the LCM of the denominators."""
     if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
+        raise EchLensError(f"kmax must be non-negative, got {kmax}")
     seqs = list(sequences)
     if not seqs:
         raise EchLensError("need at least one sequence")
@@ -147,7 +152,9 @@ def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySeq
     if shift < 0 or (shift > 0 and shift >= factor * min(y for _, y in verts)):
         raise EchLensError(f"delta={format_ratio(p, q)} is not admissible for this domain")
     prices = {}
-    best = [None] * (kmax + 1)
+    # filled as paths close, so nothing is sized by kmax before the walk
+    # has refused a kmax over its budget
+    best = {}
 
     def step(length, d, g):
         price = prices.get(d)
@@ -156,16 +163,16 @@ def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySeq
         return length + g * price
 
     def close(k, length):
-        if best[k] is None or length > best[k]:
+        if best.get(k, length) <= length:
             best[k] = length
 
     n = domain.n
     # a path from M*(n,1) loses delta times its start's x
     _enumerate_all(n, kmax, lambda m: -shift * m * n, step, close)
-    for k, length in enumerate(best):
-        if length is None:
+    for k in range(kmax + 1):
+        if k not in best:
             raise AssertionError(f"no concave path with L_{n} = {k}")
-    return CapacitySequence(best, scale)
+    return CapacitySequence([best[k] for k in range(kmax + 1)], scale)
 
 
 def _differences(first: CapacitySequence, second: CapacitySequence):

@@ -22,7 +22,7 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
     """A random valid concave domain with n in {1..4}, coordinates <= MAX_COORD,
     and at most 4 boundary edges."""
     if n is not None and n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise EchLensError(f"n must be a positive integer, got {n}")
     while True:
         nn = n if n is not None else rng.randint(1, 4)
         den = rng.choice([1, 1, 1, 2, 3])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import islice
 from types import SimpleNamespace
 
 from .clibase import (
@@ -55,8 +54,9 @@ def cmd_ellipsoid(args) -> int:
     from .ellipsoid import ellipsoid_values, ratio_ints
 
     ia, ib, scale = ratio_ints(args.a, getattr(args, "b", args.a))
-    rows = islice(ellipsoid_values(args.n, ia, ib), args.kmax + 1)
-    _render_rows(rows, scale, args.format, args.decimal)
+    # zip, unlike islice, takes a kmax of any size
+    rows = zip(range(args.kmax + 1), ellipsoid_values(args.n, ia, ib))
+    _render_rows((v for _, v in rows), scale, args.format, args.decimal)
     return EXIT_OK
 
 
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (EchLensError, OSError, ValueError) as exc:
+    except (EchLensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

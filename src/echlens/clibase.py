@@ -8,6 +8,7 @@ from __future__ import annotations
 import sys
 from math import gcd
 
+from .errors import EchLensError
 from .geometry import format_ratio, parse_ratio
 
 EXIT_OK = 0
@@ -70,24 +71,28 @@ def _render_rows(ints, scale: int, fmt: str, decimal):
     row is reduced by its own gcd and written as it comes, so `ints` may be
     a stream that is never stored.  The rows must keep CapacitySequence's
     invariants, c_0 = 0 <= c_1 <= ...; a row that breaks them raises
-    AssertionError."""
+    AssertionError, and a value too long for Python's int-to-text limit
+    EchLensError."""
     write = sys.stdout.write
     csv = fmt == "csv"
     write("k,numerator,denominator\n" if csv else "k  c_k\n")
     prev = 0
-    for k, v in enumerate(ints):
-        if v < prev or (k == 0 and v != 0):
-            raise AssertionError(
-                f"c_{k} = {format_ratio(v, scale)} breaks 0 = c_0 <= c_1 <= ..."
-            )
-        prev = v
-        if decimal is not None:
-            write(f"{k}  {_render_decimal(v, scale, decimal)}\n")
-        elif csv:
-            g = gcd(v, scale)
-            write(f"{k},{v // g},{scale // g}\n")
-        else:
-            write(f"{k}  {format_ratio(v, scale)}\n")
+    try:
+        for k, v in enumerate(ints):
+            if v < prev or (k == 0 and v != 0):
+                raise AssertionError(
+                    f"c_{k} = {format_ratio(v, scale)} breaks 0 = c_0 <= c_1 <= ..."
+                )
+            prev = v
+            if decimal is not None:
+                write(f"{k}  {_render_decimal(v, scale, decimal)}\n")
+            elif csv:
+                g = gcd(v, scale)
+                write(f"{k},{v // g},{scale // g}\n")
+            else:
+                write(f"{k}  {format_ratio(v, scale)}\n")
+    except ValueError as exc:  # a value past Python's int-to-text digit limit
+        raise EchLensError(str(exc)) from None
 
 
 def _arg(name: str, **keywords) -> tuple:

@@ -16,6 +16,7 @@ from .clibase import (
     _rational,
     _render_rows,
 )
+from .errors import EchLensError
 from .geometry import format_point, format_ratio
 
 
@@ -23,7 +24,11 @@ def _load_domain(path: str):
     from .domains import parse_domain_file
 
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_domain_file(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise EchLensError(str(exc)) from None
+    return parse_domain_file(text)
 
 
 _DOMAIN = (
@@ -168,7 +173,7 @@ def cmd_index(args) -> int:
             path, labels = idx.parse_path_text(domain.n, args.path)
             gen = idx.ConcaveGenerator(path=path, labels=labels or ("e",) * len(path.edges))
         value = idx.orbit_set_index(domain, gen, args.m_plus, args.m_minus)
-    print(f"I = {value}")
+    print(f"I = {format_ratio(value, 1)}")  # EchLensError past the digit limit
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .errors import ParseError
+from .errors import EchLensError, ParseError
 
 # Points and lattice vectors are plain (x, y) pairs.
 
@@ -26,9 +26,13 @@ def parse_ratio(text: str) -> tuple:
 
 def format_ratio(p: int, q: int) -> str:
     """The rational p/q, for ints p and q > 0, as `p` or `p/q` in lowest
-    terms: the text of str(Fraction(p, q))."""
+    terms: the text of str(Fraction(p, q)).  A part too long for Python's
+    int-to-text limit raises EchLensError with Python's text."""
     g = gcd(p, q)
-    return str(p // g) if g == q else f"{p // g}/{q // g}"
+    try:
+        return str(p // g) if g == q else f"{p // g}/{q // g}"
+    except ValueError as exc:  # past Python's int-to-text digit limit
+        raise EchLensError(str(exc)) from None
 
 
 def format_point(p, scale: int = 1) -> str:

@@ -76,21 +76,26 @@ def orbit_set_index(
     index of the auxiliary path (m_plus horizontal unit edges, the
     generator's edges, m_minus horizontal unit edges), plus 2 per
     exceptional orbit and twice each rotation floor sum, read from the
-    domain's int end edges by bijectivity's _end_rotations."""
+    domain's int end edges by bijectivity's _end_rotations.  The generator
+    is checked as make_path and parse_path_text check theirs, so each
+    auxiliary vertex, a generator vertex plus (m_minus, (m_plus +
+    m_minus)/n), stays in the cone."""
     n = domain.n
-    if generator.path.n != n:
-        raise EchLensError(f"generator path has n={generator.path.n}, domain has n={n}")
+    path = generator.path
+    if path.n != n:
+        raise EchLensError(f"generator path has n={path.n}, domain has n={n}")
     if m_plus < 0 or m_minus < 0:
-        raise ValueError("exceptional multiplicities must be non-negative")
-    run = m_plus + m_minus + sum(-d[0] * m for d, m in generator.path.edges)
+        raise EchLensError("exceptional multiplicities must be non-negative")
+    make_path(n, path.start, path.edges)
+    _check_labels(generator.labels, path.edges, ",".join(map(str, generator.labels)))
+    run = m_plus + m_minus + sum(-d[0] * m for d, m in path.edges)
     if run % n != 0:
-        raise EchLensError(f"total horizontal run {run} is not a multiple of n = {n}")
+        # format_ratio raises EchLensError past Python's int-to-text digit limit
+        shown = geo.format_ratio(run, 1)
+        raise EchLensError(f"total horizontal run {shown} is not a multiple of n = {n}")
     big_m = run // n
-    edges = (((-1, 0), m_plus), *generator.path.edges, ((-1, 0), m_minus))
+    edges = (((-1, 0), m_plus), *path.edges, ((-1, 0), m_minus))
     aux = IntegralPath(n, (big_m * n, big_m), tuple(e for e in edges if e[1]))
-    for v in aux.vertices():
-        if not geo.in_cone(v, n):
-            raise EchLensError(f"auxiliary path vertex {v} leaves the cone")
     ints = domain.ints
     plus, minus = _end_rotations(n, geo.vec_sub(ints[1], ints[0]), geo.vec_sub(ints[-1], ints[-2]))
     total = generator_index(ConcaveGenerator(aux, generator.labels)) + 2 * m_plus + 2 * m_minus
@@ -151,20 +156,28 @@ def parse_path_text(n: int, text: str):
     m = re.match(_PATH, text.strip())
     if m is None:
         raise EchLensError(f"cannot parse path text {text!r}")
-    start = (int(m.group(1)), int(m.group(2)))
-    body = m.group(3)
-    if re.fullmatch(_EDGE_LIST, body) is None:
-        raise EchLensError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
-    edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in re.findall(_EDGE, body))
+    try:
+        start = (int(m.group(1)), int(m.group(2)))
+        body = m.group(3)
+        if re.fullmatch(_EDGE_LIST, body) is None:
+            raise EchLensError(f"cannot parse edge list [{body}]; edges are (dx,dy)xN")
+        edges = tuple(((int(dx), int(dy)), int(k)) for dx, dy, k in re.findall(_EDGE, body))
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise EchLensError(str(exc)) from None
     labels, text = None, m.group(4)
     if text is not None:
         # an empty token is an error; only `labels=[]` lists no labels
         labels = tuple(tok.strip() for tok in text.split(",")) if text.strip() else ()
-        if any(lab not in ("e", "h") for lab in labels):
-            raise EchLensError(f"labels must be 'e' or 'h', got [{text}]")
-        if len(labels) != len(edges):
-            raise EchLensError("need exactly one label per distinct edge direction")
+        _check_labels(labels, edges, text)
     return make_path(n, start, edges), labels
+
+
+def _check_labels(labels, edges, text: str):
+    """One label, 'e' or 'h', per edge; `text` shows the labels in errors."""
+    if any(lab not in ("e", "h") for lab in labels):
+        raise EchLensError(f"labels must be 'e' or 'h', got [{text}]")
+    if len(labels) != len(edges):
+        raise EchLensError("need exactly one label per distinct edge direction")
 
 
 def path_to_text(path: IntegralPath, labels=None) -> str:

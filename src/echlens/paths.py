@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 
 from . import geometry as geo
-from .errors import ResourceLimit
+from .errors import EchLensError, ResourceLimit
 from .record import Record, _set
 
 
@@ -105,12 +105,16 @@ def _enumerate_all(n: int, kmax: int, begin, step, close):
     the slope bound to the first dead chain.  Closing more than PATH_BUDGET
     paths, or scanning more than COLUMN_BUDGET columns (each call scans the
     x1 columns left of its vertex), raises ResourceLimit; n < 1 or a
-    negative kmax raises ValueError.
+    negative kmax raises EchLensError.  At least one path closes at each
+    k <= kmax, so a kmax of PATH_BUDGET or more raises ResourceLimit before
+    the walk starts.
     """
     if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise EchLensError(f"n must be a positive integer, got {n}")
     if kmax < 0:
-        raise ValueError(f"kmax must be non-negative, got {kmax}")
+        raise EchLensError(f"kmax must be non-negative, got {kmax}")
+    if kmax >= PATH_BUDGET:
+        raise ResourceLimit(f"n={n}, kmax={kmax}: more paths than the budget of {PATH_BUDGET}")
     found = 1
     columns = 0
 
@@ -150,12 +154,12 @@ def enumerate_paths_up_to(n: int, kmax: int):
     """Buckets {k: paths with L_n = k} for all k <= kmax, each in the walk's
     depth-first order (the same for every kmax), collected from one walk;
     ResourceLimit past PATH_BUDGET paths or COLUMN_BUDGET columns."""
-    buckets = {k: [] for k in range(kmax + 1)}
+    buckets = {}
     _enumerate_all(
         n,
         kmax,
         lambda m: ((m * n, m), ()),
         lambda chain, d, g: (chain[0], chain[1] + ((d, g),)),
-        lambda k, chain: buckets[k].append(IntegralPath(n, *chain)),
+        lambda k, chain: buckets.setdefault(k, []).append(IntegralPath(n, *chain)),
     )
-    return {k: tuple(bucket) for k, bucket in buckets.items()}
+    return {k: tuple(buckets.get(k, ())) for k in range(kmax + 1)}

@@ -103,7 +103,7 @@ class TestEllipsoidSequence:
     @pytest.mark.parametrize("kmax", [-1, -3])
     def test_negative_kmax_message(self, kmax):
         # -3 failed inside islice with its own message
-        with pytest.raises(ValueError, match=f"^kmax must be non-negative, got {kmax}$"):
+        with pytest.raises(EchLensError, match=f"^kmax must be non-negative, got {kmax}$"):
             e.ellipsoid_sequence(1, 1, 1, kmax)
 
     def test_large_kmax_is_cheap(self):
@@ -174,7 +174,7 @@ class TestUnionSequence:
     @pytest.mark.parametrize("kmax", [-1, -3])
     def test_negative_kmax_message(self, kmax):
         # -3 sliced the factors and returned 4 values; -1 found none
-        with pytest.raises(ValueError, match=f"^kmax must be non-negative, got {kmax}$"):
+        with pytest.raises(EchLensError, match=f"^kmax must be non-negative, got {kmax}$"):
             e.union_sequence([e.ellipsoid_sequence(1, 1, 1, 5)], kmax)
 
 
@@ -362,11 +362,11 @@ class TestStreamedOracle:
         monkeypatch.setattr(paths, "PATH_BUDGET", paths_walked)
         assert e.capacities_via_oracle(dom, kmax) == e.capacities_via_weights(dom, kmax)
 
-    def test_negative_kmax_is_a_value_error(self):
+    def test_negative_kmax_is_an_input_error(self):
         for delta in (0, Fraction(1, 4)):
-            with pytest.raises(ValueError, match="kmax must be non-negative, got -1"):
+            with pytest.raises(EchLensError, match="kmax must be non-negative, got -1"):
                 e.capacities_via_oracle(B21, -1, delta=delta)
-        with pytest.raises(ValueError, match="kmax must be non-negative, got -2"):
+        with pytest.raises(EchLensError, match="kmax must be non-negative, got -2"):
             capacities.oracle_ints(B21, -2, 0, 1)
 
     def test_a_k_with_no_path_is_a_broken_invariant(self, monkeypatch):
@@ -402,11 +402,12 @@ class TestSampler:
         script = (
             "import random, sys\n"
             "from echlens.checks import random_concave_domain\n"
+            "from echlens.errors import EchLensError\n"
             "rng = random.Random(1)\n"
             "state = rng.getstate()\n"
             "try:\n"
             f"    random_concave_domain(rng, {n})\n"
-            "except ValueError as exc:\n"
+            "except EchLensError as exc:\n"
             f"    sys.exit(str(exc) != 'n must be a positive integer, got {n}'"
             " or rng.getstate() != state)\n"
             "sys.exit(1)\n"
@@ -580,6 +581,22 @@ class TestOrbitSetIndex:
         gen = e.ConcaveGenerator(path=path, labels=("e",))
         with pytest.raises(EchLensError, match="^generator path has n=4, domain has n=2$"):
             e.orbit_set_index(EXAMPLE, gen, 0, 0)
+
+    def test_refuses_an_unchecked_generator_path(self):
+        # the path ends at (-1, 1), outside V_2; it was priced as 11
+        path = e.IntegralPath(2, (2, 1), (((-1, 0), 3),))
+        gen = e.ConcaveGenerator(path=path, labels=("h",))
+        message = r"^last vertex \(-1,1\) is not \(0, a1\) with a1 > 0$"
+        with pytest.raises(EchLensError, match=message):
+            e.orbit_set_index(EXAMPLE, gen, 1, 0)
+
+    def test_refuses_labels_that_are_not_one_e_or_h_per_edge(self):
+        # labels=() priced every edge as elliptic
+        path = e.make_path(2, (2, 1), (((-2, 1), 1),))
+        with pytest.raises(EchLensError, match="^need exactly one label per distinct edge"):
+            e.orbit_set_index(EXAMPLE, e.ConcaveGenerator(path=path, labels=()), 2, 0)
+        with pytest.raises(EchLensError, match=r"^labels must be 'e' or 'h', got \[x\]$"):
+            e.orbit_set_index(EXAMPLE, e.ConcaveGenerator(path=path, labels=("x",)), 2, 0)
 
     def test_exceptional_powers_against_pick_and_term_by_term_sums(self):
         rng = random.Random(82)
@@ -833,19 +850,19 @@ class TestCapacitySequenceInvariants:
 
     def test_rejects_nonzero_start(self):
         for build in self.BUILDS:
-            with pytest.raises(ValueError):
+            with pytest.raises(AssertionError, match="^c_0 must be 0, got 1$"):
                 build((1, 2))
 
     def test_rejects_decreasing(self):
         for build in self.BUILDS:
-            with pytest.raises(ValueError):
+            with pytest.raises(AssertionError, match="^sequence decreases at k=1$"):
                 build((0, 2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError, match="^sequence decreases at k=1$"):
             sequence_of((0, Fraction(1, 2), Fraction(1, 3)))
 
     def test_rejects_empty(self):
         for build in self.BUILDS:
-            with pytest.raises(ValueError):
+            with pytest.raises(AssertionError, match="got no values$"):
                 build(())
 
     @pytest.mark.parametrize(
@@ -864,7 +881,8 @@ class TestCapacitySequenceInvariants:
         ],
     )
     def test_negative_kmax(self, route):
-        with pytest.raises(ValueError):
+        # kmax, or the spectrum's count
+        with pytest.raises(EchLensError, match="must be non-negative, got -1$"):
             route(-1)
 
 
@@ -886,5 +904,6 @@ class TestStoredForm:
 
     def test_rejects_bad_scale(self):
         for scale in (0, -2):
-            with pytest.raises(ValueError):
+            match = f"^scale must be a positive integer, got {scale}$"
+            with pytest.raises(AssertionError, match=match):
                 e.CapacitySequence((0, 1), scale)

@@ -265,6 +265,42 @@ def test_closed_stdout_exits_1_quietly():
     assert (job.wait(timeout=60), err) == (1, b"")
 
 
+def test_unbounded_kmax_streams_until_the_reader_leaves():
+    # islice refused a kmax past sys.maxsize with exit 2; the rows stream
+    # for any kmax, and a closed stdout ends the job with exit 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    job = subprocess.Popen(
+        [sys.executable, "-m", "echlens.cli", "ball", "--a", "1", "--kmax", str(2**63)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert [job.stdout.readline(), job.stdout.readline()] == [b"k  c_k\n", b"0  0\n"]
+    job.stdout.close()
+    err = job.stderr.read()
+    job.stderr.close()
+    assert (job.wait(timeout=60), err) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["index", "ellipsoid", "--n", "1", "--a", "1", "--b", "1", "--r", str(10**3000), "--s", "0"],
+     ["ball", "--a", "1/3", "--kmax", "1", "--decimal", "5000"],
+     # c_4 = a + b has the denominator 10^2999 * (10^2999 + 1)
+     ["ellipsoid", "--n", "1", "--a", f"1/{10**2999}", "--b", f"1/{10**2999 + 1}",
+      "--kmax", "4", "--format", "csv"]],
+    ids=["index", "decimal", "csv"],
+)
+def test_value_past_the_digit_limit_exit_2(capsys, argv):
+    # a value too long for Python's int-to-text limit is the input's fault
+    try:
+        str(10**5000)
+    except ValueError as exc:
+        expected = f"error: {exc}\n"
+    else:
+        pytest.skip("this Python has no int-to-text digit limit")
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (2, expected)
+
+
 class TestDomain:
     def test_both_routes_agree(self, capsys, domain_file):
         code, out, _ = run(capsys, ["domain", domain_file, "--kmax", "3", "--method", "both"])
@@ -292,6 +328,30 @@ class TestDomain:
         code, _, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
         assert code == 2
         assert err == f"error: line 2, column 12: bad rational '{text}'\n"
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.dom"
+        bad.write_bytes(b"n = 2\nvertices = (2,1) (0,1)\n# caf\xe9\n")
+        code, out, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xe9 in position 34: "
+            "invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["domain", "{dom}", "--method", "weights"], ["domain", "{dom}", "--method", "both"],
+         ["check"], ["obstruct", "{dom}", "{dom}"]],
+        ids=["weights", "both", "check", "obstruct"],
+    )
+    def test_packing_kmax_past_maxsize_exit_2(self, capsys, ball_file, argv):
+        # islice's "Stop argument for islice()" leaked as a ValueError
+        kmax = 2**63
+        argv = [arg.format(dom=ball_file) for arg in argv] + ["--kmax", str(kmax)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: kmax must be below {sys.maxsize}, got {kmax}\n"
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["domain", "/nonexistent.dom"])
@@ -338,6 +398,18 @@ class TestDomain:
         # a smaller run after the refused one still succeeds
         code, out, _ = run(capsys, argv + ["8"])
         assert (code, len(out.splitlines())) == (0, 10)
+
+    @pytest.mark.parametrize(
+        "command", [["domain", "--method", "oracle"], ["blowup", "--delta", "1/4"]],
+        ids=["domain", "blowup"],
+    )
+    def test_kmax_past_the_path_budget_exit_3_at_once(self, capsys, ball_file, command):
+        # every k <= kmax closes a path, so such a kmax cannot fit; it
+        # allocated kmax + 1 slots first, and at 2^63 died with OverflowError
+        kmax = 2**63
+        code, out, err = run(capsys, [command[0], ball_file, *command[1:], "--kmax", str(kmax)])
+        assert (code, out) == (3, "")
+        assert err == f"error: n=2, kmax={kmax}: more paths than the budget of 1048576\n"
 
     @pytest.mark.parametrize(
         "command", [["domain"], ["blowup", "--delta", "1/4"]], ids=["domain", "blowup"]
@@ -528,6 +600,19 @@ class TestIndex:
         )
         assert (code, out) == (2, "")
         assert "labels must be" in err
+
+    def test_path_integer_past_the_digit_limit_exit_2(self, capsys, domain_file):
+        # Python's own text, raised as an EchLensError where the path text is read
+        huge = "9" * 5000
+        try:
+            int(huge)
+        except ValueError as exc:
+            expected = f"error: {exc}\n"
+        else:
+            pytest.skip("this Python has no int-to-text digit limit")
+        text = f"start=({huge},1); edges=[(-2,1)x1]"
+        code, out, err = run(capsys, ["index", "orbit", domain_file, "--path", text])
+        assert (code, out, err) == (2, "", expected)
 
     def test_homology_error(self, capsys, domain_file):
         code, _, err = run(capsys, ["index", "orbit", domain_file, "--m-plus", "1"])

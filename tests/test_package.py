@@ -1,5 +1,6 @@
 """The package surface, the value records and what a cold CLI job loads."""
 
+import ast
 import copy
 import os
 import pickle
@@ -254,3 +255,43 @@ def test_help_and_usage_errors_load_argparse(argv, exit_code, tmp_path):
     _, code, loaded = _cold_job(argv, tmp_path)
     assert code == exit_code
     assert "argparse" in loaded
+
+
+def _value_error_raises(tree, where):
+    """The functions, as module.function, whose own body raises ValueError."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _value_error_raises(node, f"{where.split('.')[0]}.{node.name}")
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.add(where)
+        found |= _value_error_raises(node, where)
+    return found
+
+
+def test_each_exit_code_is_one_exception_type():
+    # bad input is EchLensError (exit 2), a budget ResourceLimit (3) and a
+    # broken invariant AssertionError (4); a ValueError stays inside the two
+    # functions whose callers catch it, so cli.main, which catches none, never
+    # reads a broken invariant as bad input
+    package = os.path.join(SRC, "echlens")
+    raising = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            raising |= _value_error_raises(tree, name[:-3])
+            if name == "cli.py":
+                main = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert raising == {"geometry.parse_ratio", "cli._value"}
+    caught = set()
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught |= {node.id for node in types if isinstance(node, ast.Name)}
+    assert caught == {"BrokenPipeError", "ResourceLimit", "EchLensError", "OSError",
+                      "AssertionError"}

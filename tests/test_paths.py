@@ -202,14 +202,28 @@ class TestEnumeration:
                 assert e.enumerate_paths_up_to(n, k + 4)[k] == e.enumerate_paths_up_to(n, k)[k]
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EchLensError, match="^kmax must be non-negative, got -1$"):
             e.enumerate_paths_up_to(2, -1)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_rejects_non_positive_n(self, n):
         # it returned the empty path at k = 0 and nothing above
-        with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+        with pytest.raises(EchLensError, match=f"^n must be a positive integer, got {n}$"):
             e.enumerate_paths_up_to(n, 3)
+
+    @pytest.mark.parametrize("kmax", [2**63, paths.PATH_BUDGET])
+    def test_kmax_past_the_path_budget_is_refused_before_any_work(self, monkeypatch, kmax):
+        # each k <= kmax closes a path, so such a kmax cannot fit; the callers
+        # sized kmax + 1 slots first (OverflowError at 2^63), then walked
+        def walked(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(paths, "_edge_count", walked)
+        message = f"^n=1, kmax={kmax}: more paths than the budget of {paths.PATH_BUDGET}$"
+        with pytest.raises(ResourceLimit, match=message):
+            e.capacities_via_oracle(e.validate_domain(1, [(1, 1), (0, 1)]), kmax)
+        with pytest.raises(ResourceLimit, match=message):
+            e.enumerate_paths_up_to(1, kmax)
 
     def test_column_budget_counts_the_columns_left_of_each_vertex(self, monkeypatch):
         # at kmax 1 the one call from (n, 1) scans its n columns and no more
