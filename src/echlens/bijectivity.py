@@ -143,9 +143,10 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
     ia, ib, d = ellipsoid_ints(n, a, b)
     if count < 0:
         raise EchLensError(f"count must be non-negative, got {count}")
-    layers = 1
-    while _orbit_set_count(n, layers) < count:
-        layers += 1
+    # the least layers >= 1 with _orbit_set_count(n, layers) >= count, that
+    # is with (2*n*layers + n + 2)**2 >= (n + 2)**2 + 8*n*(count - 1)
+    root = isqrt((n + 2) ** 2 + 8 * n * (max(count, 1) - 1) - 1)
+    layers = max(1, -((n + 1 - root) // (2 * n)))
     ok, certificate = bijectivity_ints(n, ia, ib, d, layers)
     if not ok:
         raise AssertionError(f"index of E_{n}({a}, {b}) is not bijective on {layers} layers")

@@ -10,12 +10,11 @@ and the index formulas in index.py.
 
 from __future__ import annotations
 
-import sys
 from itertools import islice
 from math import gcd, lcm
 
 from .ellipsoid import ellipsoid_ints, ellipsoid_values
-from .errors import EchLensError
+from .errors import EchLensError, ResourceLimit
 from .geometry import cross, format_ratio
 from .record import Record, _set
 
@@ -31,6 +30,19 @@ MONOTONICITY_NOTE = (
     "only established for embeddings taking the orbifold point to the "
     "orbifold point."
 )
+
+
+# values the packing route lists, (1 + plain balls used) * (kmax + 1), checked
+# before it lists any: (89,89)(55,90)(0,144), 87 plain balls, fits to kmax 11 914
+PACKING_BUDGET = 1 << 20
+
+
+def _check_packing(values: int, kmax: int):
+    if values > PACKING_BUDGET:
+        raise ResourceLimit(
+            f"kmax={kmax}: the packing route lists {values} values, over the budget of "
+            f"{PACKING_BUDGET}"
+        )
 
 
 class CapacitySequence(Record):
@@ -78,13 +90,13 @@ class CapacitySequence(Record):
 
 def ellipsoid_sequence(n: int, a, b, kmax: int) -> CapacitySequence:
     """First kmax+1 values a*k1 + b*k2 over k1 + k2 = 0 mod n, sorted with
-    repetitions: the first kmax+1 of ellipsoid.ellipsoid_values.  The
-    singular ball B_n(a) is E_n(a, a); the classical ball is n = 1."""
+    repetitions: the first kmax+1 of ellipsoid.ellipsoid_values, refused
+    over PACKING_BUDGET.  The singular ball B_n(a) is E_n(a, a); the
+    classical ball is n = 1."""
     ia, ib, scale = ellipsoid_ints(n, a, b)
     if kmax < 0:
         raise EchLensError(f"kmax must be non-negative, got {kmax}")
-    if kmax >= sys.maxsize:
-        raise EchLensError(f"kmax must be below {sys.maxsize}, got {kmax}")
+    _check_packing(kmax + 1, kmax)
     return CapacitySequence(list(islice(ellipsoid_values(n, ia, ib), kmax + 1)), scale)
 
 
@@ -120,9 +132,11 @@ def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence
 
     expansion = singular_weight_expansion(domain)
     w0 = expansion.singular
-    seqs = [ellipsoid_sequence(domain.n, w0, w0, kmax)]
     # c_k uses at most k nonzero balls, and larger weights never do worse
-    seqs.extend(ellipsoid_sequence(1, w, w, kmax) for w in expansion.plain[:kmax])
+    plain = expansion.plain[:kmax]
+    _check_packing((1 + len(plain)) * (kmax + 1), kmax)
+    seqs = [ellipsoid_sequence(domain.n, w0, w0, kmax)]
+    seqs.extend(ellipsoid_sequence(1, w, w, kmax) for w in plain)
     # the balls of the int weights: capacities scale linearly, so the union
     # is divided by the domain's scale once
     return CapacitySequence(union_sequence(seqs, kmax).ints, expansion.scale)

@@ -2,15 +2,12 @@
 
 A path runs from a lattice point M*(n,1) on the ray to a lattice point on the
 y-axis, with leftward primitive edge directions of strictly increasing slope.
-This module holds what the oracle route runs: the path record, the enclosed
-lattice count L_n, and the one depth-first walk over all paths up to a count,
-in which each column's heights run from the slope bound to the first chain
-that cannot close within the count.  The walk holds no path: it carries a
-value down each chain (the oracle's running length) and hands it over as the
-path closes, so a walk holds its recursion and what its consumer keeps.  The
-buckets of all paths are collected from the same walk.  Paths given by a caller,
-corner corounding, the combinatorial index of labeled generators and the
-path text form serve the index formulas, in index.py.
+This module holds what the oracle route runs: the path record, the one
+lattice count and L_n built from it, and the one depth-first walk over all
+paths up to a count, which holds no path and hands each chain's value (the
+oracle's running length) to its consumer as the path closes.  Paths given by
+a caller, corner corounding, the combinatorial index of labeled generators
+and the path text form serve the index formulas, in index.py.
 """
 
 from __future__ import annotations
@@ -46,42 +43,38 @@ def empty_path(n: int) -> IntegralPath:
     return IntegralPath(n=n, start=(0, 0), edges=())
 
 
-def _edge_count(n: int, x1, y1, x2, y2) -> int:
-    """Count contribution of columns x2 <= c < x1 for the edge (x1,y1)->(x2,y2):
-    the lattice points of the cone strictly below the edge, ceil(h(c)) -
-    ceil(c/n) in column c, where h is the edge's height."""
-    dy, w = y2 - y1, x1 - x2
-    return w * y2 - geo.floor_sum(w, w, dy, 0) + geo.floor_sum(w, n, -1, -x2)
+def _below_line(n: int, x, y, d) -> int:
+    """The one lattice count: floor(h(c)) + 1 - ceil(c/n) over 0 <= c < x,
+    for h the line through (x, y) along d, dx < 0.  An edge of g steps along
+    d from u to v has below(u) - below(v) - g cone points strictly under it,
+    as floor(h) + 1 - ceil(h) is 1 exactly at its lattice points."""
+    return x * (y + 1) + geo.floor_sum(x, -d[0], -d[1], d[1] * x) + geo.floor_sum(x, n, -1, 0)
 
 
 def lattice_count(path: IntegralPath) -> int:
-    """L_n: lattice points enclosed by the path and the two rays, minus the path.
-
-    Works for any chain of vertices with strictly decreasing x that stays in
-    the cone; concavity is not assumed (the auxiliary paths of the orbit-set
-    index are not concave).  The empty path has one vertex and counts 0.
-    """
-    verts = path.vertices()
-    return sum(_edge_count(path.n, *u, *v) for u, v in zip(verts, verts[1:]))
+    """L_n: lattice points enclosed by the path and the two rays, minus the
+    path, one _below_line difference per edge.  Works for any chain of
+    primitive edges with strictly decreasing x that stays in the cone;
+    concavity is not assumed (the auxiliary paths of the orbit-set index are
+    not concave).  The empty path counts 0."""
+    n, (x, y), total = path.n, path.start, 0
+    for d, m in path.edges:
+        total += _below_line(n, x, y, d) - m
+        x, y = x + m * d[0], y + m * d[1]
+        total -= _below_line(n, x, y, d)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
 
-# paths per walk: n = 1 closes 942 258 at kmax 62 in about 3 s, and every
-# n >= 32 closes 1 012 004 at kmax 32 in about 6 s (2 vCPUs)
+# paths per walk: n = 1 closes 942 258 at kmax 62 in about 1.4 s, and every
+# n >= 32 closes 1 012 004 at kmax 32 in about 3.5 s (2 vCPUs)
 PATH_BUDGET = 1 << 20
 # columns scanned per walk, which grow with n where paths do not:
 # (100, 24) scans 501 570 of them, n = 10**9 at kmax 1 a billion
 COLUMN_BUDGET = 1 << 21
-
-
-def _completion_bound(n: int, x2, y2, dx, dy) -> int:
-    """Cone points in columns 0 <= c < x2 on or below the line of the edge
-    (dx, dy), dx < 0, that ends at (x2, y2); no column count is negative, as
-    enumerated edges have n*dy - dx > 0 and end in the cone."""
-    return x2 * (y2 + 1) + geo.floor_sum(x2, -dx, -dy, dy * x2) + geo.floor_sum(x2, n, -1, 0)
 
 
 def _enumerate_all(n: int, kmax: int, begin, step, close):
@@ -98,16 +91,17 @@ def _enumerate_all(n: int, kmax: int, begin, step, close):
     edge (of the ray, for the first edge), which also keeps it strictly
     inside the cone.  Every continuation from a new vertex lies strictly
     above the line of the new edge, so the cone points on or below that line
-    to its left end up enclosed: a chain whose count plus this completion
-    bound exceeds kmax is dead.  Raising the new vertex in its column pivots
-    the edge's line upward about the previous vertex, so the count and the
-    bound both only grow with the height, and each column's heights run from
-    the slope bound to the first dead chain.  Closing more than PATH_BUDGET
-    paths, or scanning more than COLUMN_BUDGET columns (each call scans the
-    x1 columns left of its vertex), raises ResourceLimit; n < 1 or a
-    negative kmax raises EchLensError.  At least one path closes at each
-    k <= kmax, so a kmax of PATH_BUDGET or more raises ResourceLimit before
-    the walk starts.
+    end up enclosed: with the edge's own, _below_line(x1, y1, d) - g for an
+    edge of g steps along d.  A chain whose count plus these exceeds kmax is
+    dead.  Raising the new vertex in its column pivots the edge's line
+    upward about the previous vertex, so they only grow with the height, and
+    each column's heights run from the slope bound to the first dead chain:
+    one count per column for it, and one or, unless it closes, two per live
+    chain.  Closing more than PATH_BUDGET paths, or scanning more than
+    COLUMN_BUDGET columns (each call scans the x1 columns left of its
+    vertex), raises ResourceLimit; n < 1 or a negative kmax raises
+    EchLensError.  A path closes at each k <= kmax, so a kmax of PATH_BUDGET
+    or more raises ResourceLimit before the walk starts.
     """
     if n < 1:
         raise EchLensError(f"n must be a positive integer, got {n}")
@@ -129,20 +123,21 @@ def _enumerate_all(n: int, kmax: int, begin, step, close):
             y2 = y1 + (py * (x2 - x1)) // px + 1
             while True:
                 dx, dy = x2 - x1, y2 - y1
-                new_count = count + _edge_count(n, x1, y1, x2, y2)
-                if new_count + _completion_bound(n, x2, y2, dx, dy) > kmax:
-                    break
                 g = gcd(dx, dy)
-                new_value = step(value, (dx // g, dy // g), g)
+                d = (dx // g, dy // g)
+                total = count + _below_line(n, x1, y1, d) - g
+                if total > kmax:
+                    break
+                new_value = step(value, d, g)
                 if x2 == 0:
                     found += 1
                     if found > PATH_BUDGET:
                         raise ResourceLimit(
                             f"n={n}, kmax={kmax}: more paths than the budget of {PATH_BUDGET}"
                         )
-                    close(new_count, new_value)
+                    close(total, new_value)  # nothing lies left of the y-axis
                 else:
-                    extend(x2, y2, new_value, new_count, dx, dy)
+                    extend(x2, y2, new_value, total - _below_line(n, x2, y2, d), dx, dy)
                 y2 += 1
 
     close(0, begin(0))

@@ -371,7 +371,7 @@ class TestStreamedOracle:
 
     def test_a_k_with_no_path_is_a_broken_invariant(self, monkeypatch):
         # with every chain dead, only the empty path closes
-        monkeypatch.setattr(paths, "_completion_bound", lambda *args: 10**9)
+        monkeypatch.setattr(paths, "_below_line", lambda *args: 10**9)
         assert e.capacities_via_oracle(B21, 0).ints == (0,)
         with pytest.raises(AssertionError, match="no concave path with L_2 = 1"):
             e.capacities_via_oracle(B21, 3)
@@ -792,6 +792,23 @@ class TestBijectivity:
                 actions = e.spectrum_from_orbit_indices(n, a, b, 30)
                 assert actions == list(e.ellipsoid_sequence(n, a, b, 29).values)
 
+    def test_spectrum_layer_count_is_the_least_that_holds_count(self, monkeypatch):
+        # the closed form against the search, one layer at a time, it replaced
+        seen = []
+
+        def certified(n, ia, ib, d, layers):
+            seen.append(layers)
+            return True, []
+
+        monkeypatch.setattr(bijectivity, "bijectivity_ints", certified)
+        for n in range(1, 7):
+            layers = 1
+            for count in range(3001):
+                while bijectivity._orbit_set_count(n, layers) < count:
+                    layers += 1
+                e.spectrum_from_orbit_indices(n, 1, 1, count)
+                assert seen.pop() == layers, (n, count)
+
 
 class TestEllipsoidParameters:
     # every E_n(a, b) entry point rejects n < 1 before any other work
@@ -821,6 +838,26 @@ class TestEllipsoidParameters:
             f"    spectrum_from_orbit_indices({n}, 1, Fraction(233, 144), 5)\n"
             "except EchLensError as exc:\n"
             f"    sys.exit(str(exc) != 'n must be a positive integer, got {n}')\n"
+            "sys.exit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(e.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+        assert done.returncode == 0
+
+    def test_spectrum_count_past_the_budget_is_refused_at_once(self):
+        # the layer search ran a loop per layer before the budget could act,
+        # so 10**30 was still counting after 5 s; a child bounds the wait
+        script = (
+            "import sys, time\n"
+            "from echlens.bijectivity import spectrum_from_orbit_indices\n"
+            "from echlens.errors import ResourceLimit\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    spectrum_from_orbit_indices(1, 1, 1, 10**30)\n"
+            "except ResourceLimit as exc:\n"
+            "    assert str(exc).endswith('over the budget of 1048576'), exc\n"
+            "    sys.exit(time.perf_counter() - start > 1)\n"
             "sys.exit(1)\n"
         )
         src = os.path.dirname(os.path.dirname(e.__file__))

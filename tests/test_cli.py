@@ -346,12 +346,19 @@ class TestDomain:
         ids=["weights", "both", "check", "obstruct"],
     )
     def test_packing_kmax_past_maxsize_exit_2(self, capsys, ball_file, argv):
-        # islice's "Stop argument for islice()" leaked as a ValueError
-        kmax = 2**63
-        argv = [arg.format(dom=ball_file) for arg in argv] + ["--kmax", str(kmax)]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: kmax must be below {sys.maxsize}, got {kmax}\n"
+        # islice's "Stop argument for islice()" leaked as a ValueError, then
+        # kmax past sys.maxsize was an input error (exit 2) while 2^62 ran out
+        # of memory; the packing budget refuses both before listing a value
+        for kmax in (2**62, 2**63):
+            job = [arg.format(dom=ball_file) for arg in argv] + ["--kmax", str(kmax)]
+            code, out, err = run(capsys, job)
+            assert (code, out) == (3, "")
+            # the singular ball, and in check's first domain 8 plain balls
+            balls = 9 if argv == ["check"] else 1
+            assert err == (
+                f"error: kmax={kmax}: the packing route lists {balls * (kmax + 1)} values, "
+                f"over the budget of {capacities.PACKING_BUDGET}\n"
+            )
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["domain", "/nonexistent.dom"])
@@ -818,3 +825,51 @@ def test_fast_parse_is_argparse_or_none(case):
         except SystemExit:
             pytest.fail(f"argparse refuses {argv}, which _parse_fast parsed")
         assert vars(fast) == expected
+
+
+# Runs one `echlens` job with its address space capped, so a job that sizes
+# memory by its input fails in the child instead of filling the machine.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from echlens.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+_HUGE = str(2**62)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the job on Linux")
+@pytest.mark.parametrize(
+    "argv",
+    [["domain", "{ball}", "--method", "weights", "--kmax", _HUGE],
+     ["domain", "{ball}", "--method", "oracle", "--kmax", _HUGE],
+     ["domain", "{ball}", "--method", "both", "--kmax", _HUGE],
+     ["check", "--kmax", _HUGE],
+     ["obstruct", "{ball}", "{ball}", "--kmax", _HUGE],
+     ["blowup", "{ball}", "--delta", "1/4", "--kmax", _HUGE],
+     ["bijectivity", "--n", "1", "--a", "1", "--b", "2", "--layers", _HUGE],
+     ["domain", "{wide}", "--method", "oracle"],
+     ["weights", "{thin}"],
+     ["domain", "{digits}"],
+     # one argument may hold 128 KiB, so 10^6 digits come from a file
+     ["ball", "--a", "7" * 100_000]],
+    ids=["weights", "oracle", "both", "check", "obstruct", "blowup", "bijectivity",
+         "wide-cone", "thin-triangle", "long-coordinate", "long-ball"],
+)
+def test_absurd_sizes_exit_2_or_3(tmp_path, argv):
+    # each job refuses its input or its budget before sizing anything by it;
+    # the packing jobs at kmax 2^62 ended in MemoryError (exit 1)
+    files = {
+        "ball": "n = 2\nvertices = (2,1) (0,1)\n",
+        "wide": "n = 1000000000\nvertices = (1000000000,1) (0,1)\n",
+        "thin": "n = 1\nvertices = (1,1) (0,1000000000)\n",
+        "digits": f"n = 1\nvertices = (1,1) (0,{'9' * 10**6})\n",
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.dom").write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / f"{name}.dom") for name in files}) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", _CAPPED, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode in (2, 3), done.stderr
+    assert done.stdout == "" and "error: " in done.stderr and "Traceback" not in done.stderr

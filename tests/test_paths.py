@@ -1,4 +1,6 @@
+import hashlib
 import random
+from math import gcd
 
 import pytest
 
@@ -100,35 +102,75 @@ class TestLatticeCount:
             while x > 0:
                 x = rng.randint(0, x - 1)
                 chain.append((x, x // n + 1 + rng.randint(0, 6)))
-            # an unvalidated path: one edge per chain step, multiplicity 1
-            steps = tuple(((v[0] - u[0], v[1] - u[1]), 1) for u, v in zip(chain, chain[1:]))
-            path = e.IntegralPath(n, chain[0], steps)
+            # an unvalidated path: one primitive edge per chain step
+            steps = []
+            for u, v in zip(chain, chain[1:]):
+                dx, dy = v[0] - u[0], v[1] - u[1]
+                g = gcd(dx, dy)
+                steps.append(((dx // g, dy // g), g))
+            path = e.IntegralPath(n, chain[0], tuple(steps))
+            assert path.vertices() == chain
             assert e.lattice_count(path) == pick_lattice_count(n, chain)
 
 
 class TestCountKernels:
     def test_against_column_sums_at_every_enumeration_call(self, monkeypatch):
-        kernels = {
-            paths._edge_count: brute_edge_count,
-            paths._completion_bound: brute_completion_bound,
-        }
-        calls = {kernel: [] for kernel in kernels}
+        below = paths._below_line
+        calls = []
 
-        def recording(kernel):
-            def record(*args):
-                calls[kernel].append(args)
-                return kernel(*args)
+        def record(*args):
+            calls.append(args)
+            return below(*args)
 
-            return record
-
-        for kernel in kernels:
-            monkeypatch.setattr(paths, kernel.__name__, recording(kernel))
+        monkeypatch.setattr(paths, "_below_line", record)
         for n in (1, 2, 3, 4):
             e.enumerate_paths_up_to(n, 16)
-        for kernel, brute in kernels.items():
-            assert len(calls[kernel]) > 1000
-            for args in calls[kernel]:
-                assert kernel(*args) == brute(*args), args
+        assert len(calls) > 1000
+        for n, x, y, d in calls:
+            assert below(n, x, y, d) == brute_completion_bound(n, x, y, *d), (n, x, y, d)
+
+    def test_an_edge_counts_the_difference_of_its_ends(self):
+        # the points strictly below an edge of m steps along d from u to v
+        edges = 0
+        for n in (1, 2, 3, 4, 7):
+            for bucket in e.enumerate_paths_up_to(n, 12).values():
+                for p in bucket:
+                    for (d, m), u, v in zip(p.edges, p.vertices(), p.vertices()[1:]):
+                        count = paths._below_line(n, *u, d) - m - paths._below_line(n, *v, d)
+                        assert count == brute_edge_count(n, *u, *v), (n, u, v)
+                        edges += 1
+        assert edges > 5000
+
+    def test_a_dead_candidate_costs_one_count(self, monkeypatch):
+        # each scanned column ends at one dead candidate, told by one count;
+        # a live candidate (one step) adds the new vertex's own count unless
+        # it closes the path; on the wide cone most columns hold no live one
+        below = paths._below_line
+        counted = {"calls": 0, "steps": 0, "closes": 0}
+
+        def count(key, result):
+            counted[key] += 1
+            return result
+
+        monkeypatch.setattr(paths, "_below_line", lambda *args: count("calls", below(*args)))
+
+        def walk():
+            paths._enumerate_all(
+                100, 8, lambda m: 0, lambda v, d, g: count("steps", v),
+                lambda k, v: count("closes", v),
+            )
+
+        walk()
+        # the empty path closes without a step
+        closing_steps = counted["closes"] - 1
+        columns = counted["calls"] - 2 * counted["steps"] + closing_steps
+        assert (counted["steps"], columns) == (360, 9367)
+        # the column budget counts exactly the dead candidates
+        monkeypatch.setattr(paths, "COLUMN_BUDGET", columns)
+        walk()
+        monkeypatch.setattr(paths, "COLUMN_BUDGET", columns - 1)
+        with pytest.raises(ResourceLimit, match="more columns than the budget"):
+            walk()
 
 
 class TestGeneratorIndex:
@@ -158,7 +200,33 @@ UNPRUNED_TOTALS = {
 }
 
 
+# sha256 of every path of every bucket in the walk's depth-first order, one
+# "k start edges" line each, as the walk with separate edge and completion
+# counts closed them: a change to the walk's counting or pruning must keep
+# identical paths in identical order
+WALK_DIGESTS = {
+    (1, 12): "59cd245f63609fa36bc90002c3982f6b10b68bd3c25e665e002aac3f937767a7",
+    (2, 12): "06fc2a542f23ae77f0bcb8ad33f6620e1d13c336a1128675d76f5e785c7c5531",
+    (3, 12): "cd71233bb6d4fd2ac46057d20c724dbaa4b024551912cd173fde709ef97224f6",
+    (4, 12): "2e9d39da892b34771cbf3cfcfec78130b277f2acbf580321e30e8c98d615b35e",
+    (5, 12): "fa2a8d317dbfb35b7a0f6b89de25a330c7d4e3f056631679e5d52abe403633d0",
+    (6, 12): "84eb091a520bbc622377bcdbc1dfa0234e403a7fa3122cc9c92f75db4e5859be",
+    (7, 12): "def5f2472526c300bcf9ee05a44125bce0d38f36cf5d69d2e5f351a441a4b09c",
+    (8, 12): "fae5e1be3b0347b328d784b18ad5cbaa6ca64a8419592107372f946e64758287",
+    (24, 8): "a9cc97daf6da293615e3aa4002951b3a2ad683fe296c667088c1c64db4ee36e3",
+    (100, 8): "c83c30fce1a5959c607574a3a7cf85001619a58fbe6eeda0452c53e4dae560cd",
+}
+
+
 class TestEnumeration:
+    def test_walk_order_is_pinned(self):
+        for (n, kmax), digest in WALK_DIGESTS.items():
+            lines = hashlib.sha256()
+            for k, bucket in e.enumerate_paths_up_to(n, kmax).items():
+                for p in bucket:
+                    lines.update(f"{k} {p.start} {p.edges}\n".encode())
+            assert lines.hexdigest() == digest, (n, kmax)
+
     def test_deterministic(self):
         assert e.enumerate_paths_up_to(2, 3)[3] == e.enumerate_paths_up_to(2, 3)[3]
 
@@ -218,7 +286,7 @@ class TestEnumeration:
         def walked(*args):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(paths, "_edge_count", walked)
+        monkeypatch.setattr(paths, "_below_line", walked)
         message = f"^n=1, kmax={kmax}: more paths than the budget of {paths.PATH_BUDGET}$"
         with pytest.raises(ResourceLimit, match=message):
             e.capacities_via_oracle(e.validate_domain(1, [(1, 1), (0, 1)]), kmax)
