@@ -77,14 +77,9 @@ def ellipsoid_orbit_index(n: int, a, b, r: int, s: int) -> int:
 
 
 def index_bijectivity_check(n: int, a, b, kmax_layers: int):
-    """bijectivity_ints on E_n(a, b), for ints or Fractions a and b, over
-    their common denominator."""
-    return bijectivity_ints(n, *ellipsoid_ints(n, a, b), kmax_layers)
-
-
-def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
-    """Check that the index of E_n(ia/d, ib/d), n, ia, ib, d >= 1, maps the
-    orbit sets of its lowest kmax_layers + 1 layers onto the lowest even numbers.
+    """Check that the index of E_n(a, b), a and b in any form ellipsoid_ints
+    takes, maps the orbit sets of its lowest kmax_layers + 1 layers onto the
+    lowest even numbers.
 
     Considers every orbit set in layers r + s = k*n for k <= kmax_layers
     (count T of them) and verifies that the T smallest indices over all
@@ -102,6 +97,7 @@ def bijectivity_ints(n: int, ia: int, ib: int, d: int, kmax_layers: int):
     multiplicities would exceed INDEX_MULTIPLICITY_BUDGET raises
     ResourceLimit before any work.
     """
+    ia, ib, d = ellipsoid_ints(n, a, b)
     if kmax_layers < 0:
         raise EchLensError("layer count must be non-negative")
     target_count = _orbit_set_count(n, kmax_layers)
@@ -147,8 +143,9 @@ def spectrum_from_orbit_indices(n: int, a, b, count: int):
     # is with (2*n*layers + n + 2)**2 >= (n + 2)**2 + 8*n*(count - 1)
     root = isqrt((n + 2) ** 2 + 8 * n * (max(count, 1) - 1) - 1)
     layers = max(1, -((n + 1 - root) // (2 * n)))
-    ok, certificate = bijectivity_ints(n, ia, ib, d, layers)
+    ok, certificate = index_bijectivity_check(n, a, b, layers)
     if not ok:
+        a, b = format_ratio(ia, d), format_ratio(ib, d)
         raise AssertionError(f"index of E_{n}({a}, {b}) is not bijective on {layers} layers")
     from fractions import Fraction
 

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from .ellipsoid import ellipsoid_ints, ellipsoid_values
 from .errors import EchLensError, ResourceLimit
-from .geometry import cross, format_ratio
+from .geometry import cross, format_ratio, over_one_denominator
 from .record import Record, _set
 
 # domains, paths and weights are imported in the routes that use them (here
@@ -82,6 +82,8 @@ class CapacitySequence(Record):
     def __getitem__(self, k):
         from fractions import Fraction
 
+        if isinstance(k, slice):
+            return tuple(Fraction(v, self.scale) for v in self.ints[k])
         return Fraction(self.ints[k], self.scale)
 
     def __len__(self):
@@ -145,26 +147,20 @@ def capacities_via_weights(domain: ConcaveDomain, kmax: int) -> CapacitySequence
 def capacities_via_oracle(domain: ConcaveDomain, kmax: int, delta=0) -> CapacitySequence:
     """Brute-force route: per k, maximize the length l - delta*y of the
     rational blow-up of size delta over all paths with L_n = k (delta = 0 is
-    the domain itself); delta is an int or a Fraction."""
-    return oracle_ints(domain, kmax, delta.numerator, delta.denominator)
-
-
-def oracle_ints(domain: ConcaveDomain, kmax: int, p: int, q: int) -> CapacitySequence:
-    """capacities_via_oracle at delta = p/q, q > 0, on ints, by one walk of
-    at most paths.PATH_BUDGET paths that keeps only the kmax + 1 maxima.  An
-    edge along the leftward primitive d has length min cross(v, d) over the
-    boundary vertices v, the operational form of the supporting-line
-    definition that fixes every sign convention downstream; each d met is
-    priced once, over the LCM of the domain's and delta's denominators."""
+    the domain itself), delta in any form geometry.over_one_denominator
+    reads, by one walk of at most paths.PATH_BUDGET paths that keeps only
+    the kmax + 1 maxima.  An edge along the leftward primitive d has length
+    min cross(v, d) over the boundary vertices v, the operational form of
+    the supporting-line definition that fixes every sign convention
+    downstream; each d met is priced once, over the LCM of the domain's and
+    delta's denominators."""
     from .paths import _enumerate_all
 
     verts = domain.ints
-    scale = lcm(q, domain.scale)
-    factor = scale // domain.scale
-    shift = p * (scale // q)
+    (shift, factor), scale = over_one_denominator((delta, (1, domain.scale)))
     # the blown-up region must stay strictly under the lowest vertex
     if shift < 0 or (shift > 0 and shift >= factor * min(y for _, y in verts)):
-        raise EchLensError(f"delta={format_ratio(p, q)} is not admissible for this domain")
+        raise EchLensError(f"delta={format_ratio(shift, scale)} is not admissible for this domain")
     prices = {}
     # filled as paths close, so nothing is sized by kmax before the walk
     # has refused a kmax over its budget

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .capacities import _differences, capacities_via_oracle, capacities_via_weights
-from .domains import ConcaveDomain, _from_ratios
+from .domains import ConcaveDomain, validate_domain
 from .errors import EchLensError
 
 DEFAULT_SEED = 2024
@@ -49,7 +49,7 @@ def random_concave_domain(rng: random.Random, n: int | None = None) -> ConcaveDo
         d = rng.choice([1, 2])
         vertices.append(((0, 1), (rng.randint(1, MAX_COORD * d), d)))
         try:
-            return _from_ratios(nn, vertices)
+            return validate_domain(nn, vertices)
         except EchLensError:
             continue
 

@@ -51,9 +51,9 @@ def cmd_ellipsoid(args) -> int:
     """The rows of E_n(a, b), or of the ball E_n(a, a), straight from the
     generator heap: a written row is not kept, so memory is the heap's, not
     kmax's."""
-    from .ellipsoid import ellipsoid_values, ratio_ints
+    from .ellipsoid import ellipsoid_ints, ellipsoid_values
 
-    ia, ib, scale = ratio_ints(args.a, getattr(args, "b", args.a))
+    ia, ib, scale = ellipsoid_ints(args.n, args.a, getattr(args, "b", args.a))
     # zip, unlike islice, takes a kmax of any size
     rows = zip(range(args.kmax + 1), ellipsoid_values(args.n, ia, ib))
     _render_rows((v for _, v in rows), scale, args.format, args.decimal)
@@ -61,10 +61,9 @@ def cmd_ellipsoid(args) -> int:
 
 
 def cmd_bijectivity(args) -> int:
-    from .bijectivity import bijectivity_ints
-    from .ellipsoid import ratio_ints
+    from .bijectivity import index_bijectivity_check
 
-    ok, certificate = bijectivity_ints(args.n, *ratio_ints(args.a, args.b), args.layers)
+    ok, certificate = index_bijectivity_check(args.n, args.a, args.b, args.layers)
     write = sys.stdout.write
     write("index  r  s\n")
     for index, (r, s) in certificate:

@@ -131,10 +131,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    from .capacities import oracle_ints
+    from .capacities import capacities_via_oracle
 
     domain = _load_domain(args.file)
-    seq = oracle_ints(domain, args.kmax, *args.delta)
+    seq = capacities_via_oracle(domain, args.kmax, args.delta)
     _render_rows(seq.ints, seq.scale, args.format, args.decimal)
     return EXIT_OK
 
@@ -159,9 +159,7 @@ def cmd_index(args) -> int:
     if args.index_kind == "ellipsoid":
         from .bijectivity import ellipsoid_orbit_index
 
-        # the index reads b/a alone: a and b over qa*qb
-        (pa, qa), (pb, qb) = args.a, args.b
-        value = ellipsoid_orbit_index(args.n, pa * qb, pb * qa, args.r, args.s)
+        value = ellipsoid_orbit_index(args.n, args.a, args.b, args.r, args.s)
     else:
         from . import index as idx
         from .paths import empty_path

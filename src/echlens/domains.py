@@ -5,14 +5,14 @@ from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  A
 ConcaveDomain checks its chain when it is built, so every route can trust
 it; this module also parses domain files and measures area.  A chain is
 stored, and a domain file parsed, as int vertices over one denominator.
-Edge lengths are priced by the oracle route (capacities.oracle_ints), and
-the rotation numbers of the exceptional orbits, which serve only the index
-formulas, are read in bijectivity.py.
+Edge lengths are priced by the oracle route (capacities_via_oracle in
+capacities.py), and the rotation numbers of the exceptional orbits, which
+serve only the index formulas, are read in bijectivity.py.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from . import geometry as geo
 from .errors import EchLensError, ParseError
@@ -47,18 +47,10 @@ class ConcaveDomain(Record):
 
 
 def validate_domain(n: int, vertices) -> ConcaveDomain:
-    """Validate a chain of exact rational vertices (ints or Fractions),
+    """Validate a chain of rational vertices (x, y), put over_one_denominator,
     raising the first violated invariant."""
-    return _from_ratios(
-        n, [((x.numerator, x.denominator), (y.numerator, y.denominator)) for x, y in vertices]
-    )
-
-
-def _from_ratios(n: int, points) -> ConcaveDomain:
-    # the domain of a chain of points ((p, q), (p, q)), each coordinate p/q,
-    # put over the LCM of their denominators
-    scale = lcm(*(q for point in points for _, q in point))
-    return ConcaveDomain(n, [tuple(p * (scale // q) for p, q in point) for point in points], scale)
+    coords, scale = geo.over_one_denominator(c for x, y in vertices for c in (x, y))
+    return ConcaveDomain(n, list(zip(coords[::2], coords[1::2])), scale)
 
 
 def _check_chain(n: int, verts, scale: int):
@@ -139,10 +131,12 @@ def parse_domain_file(text: str) -> ConcaveDomain:
                     continue
                 vertices.append(geo.parse_point(token, lineno, cursor))
                 cursor += len(token) + 1
+            if not vertices:
+                raise ParseError("expected at least one vertex (x,y)", lineno, col)
         else:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
     if n is None:
         raise ParseError("missing `n = ...` line", 1, 1)
-    if not vertices:
+    if vertices is None:
         raise ParseError("missing `vertices = ...` line", 1, 1)
-    return _from_ratios(n, vertices)
+    return validate_domain(n, vertices)

@@ -5,28 +5,21 @@ with repetitions, as ints over the common denominator of a and b."""
 from __future__ import annotations
 
 import heapq
-from math import lcm
 
 from .errors import EchLensError
+from .geometry import format_ratio, over_one_denominator
 
 
 def ellipsoid_ints(n: int, a, b):
-    """(ia, ib, d) with a = ia/d and b = ib/d for E_n(a, b), the one check
-    of its parameters: EchLensError unless n >= 1 and a, b > 0."""
-    # a and b are ints or Fractions
-    if a <= 0 or b <= 0:
+    """(ia, ib, d): a = ia/d and b = ib/d of E_n(a, b) put over_one_denominator,
+    and the one check of its parameters: EchLensError unless n >= 1 and a, b > 0."""
+    (ia, ib), d = over_one_denominator((a, b))
+    if ia <= 0 or ib <= 0:
+        a, b = format_ratio(ia, d), format_ratio(ib, d)
         raise EchLensError(f"ellipsoid parameters must be positive, got {a}, {b}")
     if n < 1:
         raise EchLensError(f"n must be a positive integer, got {n}")
-    return ratio_ints((a.numerator, a.denominator), (b.numerator, b.denominator))
-
-
-def ratio_ints(a, b):
-    """(ia, ib, d) with ia/d = pa/qa and ib/d = pb/qb, d = lcm(qa, qb), for
-    int pairs a = (pa, qa) and b = (pb, qb), q > 0: what the CLI parses to."""
-    (pa, qa), (pb, qb) = a, b
-    d = lcm(qa, qb)
-    return pa * (d // qa), pb * (d // qb), d
+    return ia, ib, d
 
 
 def ellipsoid_values(n: int, ia: int, ib: int):

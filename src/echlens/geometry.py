@@ -1,13 +1,13 @@
 """Exact 2D primitives: rational scalars, cross products, cone tests, parsing.
 
-Rationals are parsed to, and printed from, int pairs (p, q) with q > 0.
-Nothing rounds.
+Rationals are parsed to, and printed from, int pairs (p, q) with q > 0, and
+read, in any form the library takes, by over_one_denominator.  Nothing rounds.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import gcd, lcm
 
 from .errors import EchLensError, ParseError
 
@@ -22,6 +22,24 @@ def parse_ratio(text: str) -> tuple:
         raise ValueError(f"not a rational literal with q > 0: {text!r}")
     p, _, q = text.partition("/")
     return int(p), int(q or 1)
+
+
+def over_one_denominator(values) -> tuple:
+    """(ints, d): the rationals `values` as ints over their least common
+    denominator d, the library's one reader of a rational.  Each is an int,
+    a Fraction or an int pair (p, q) with q > 0, as parse_ratio returns;
+    anything else raises EchLensError."""
+    pairs = []
+    for v in values:
+        try:
+            p, q = v if isinstance(v, tuple) else (v.numerator, v.denominator)
+        except (AttributeError, ValueError):
+            p = q = None
+        if not (isinstance(p, int) and isinstance(q, int) and q > 0):
+            raise EchLensError(f"{v!r} is not an int, a Fraction or an int pair (p, q), q > 0")
+        pairs.append((p, q))
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
 
 
 def format_ratio(p: int, q: int) -> str:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import echlens as e
-from echlens import bijectivity, capacities, ellipsoid, paths
+from echlens import bijectivity, ellipsoid, paths
 from echlens.errors import EchLensError, ResourceLimit
 from helpers import (
     ball_closed_form,
@@ -341,8 +341,9 @@ class TestStreamedOracle:
                 for delta in (0, cap / 4, cap * Fraction(6, 7)):
                     seq = e.capacities_via_oracle(dom, 9, delta=delta)
                     assert seq.values == collected_oracle(dom, 9, delta)
-                    ints = capacities.oracle_ints(dom, 9, delta.numerator, delta.denominator)
-                    assert ints == seq
+                    # the CLI's (p, q) pair, unreduced, gives the same sequence
+                    pair = (3 * delta.numerator, 3 * delta.denominator)
+                    assert e.capacities_via_oracle(dom, 9, delta=pair) == seq
 
     @pytest.mark.parametrize(
         "chain,n,kmax,paths_walked",
@@ -367,7 +368,7 @@ class TestStreamedOracle:
             with pytest.raises(EchLensError, match="kmax must be non-negative, got -1"):
                 e.capacities_via_oracle(B21, -1, delta=delta)
         with pytest.raises(EchLensError, match="kmax must be non-negative, got -2"):
-            capacities.oracle_ints(B21, -2, 0, 1)
+            e.capacities_via_oracle(B21, -2, delta=(0, 1))
 
     def test_a_k_with_no_path_is_a_broken_invariant(self, monkeypatch):
         # with every chain dead, only the empty path closes
@@ -381,9 +382,9 @@ class TestStreamedOracle:
             with pytest.raises(EchLensError, match=f"^delta={text} is not admissible"):
                 e.capacities_via_oracle(B21, 2, delta=delta)
         with pytest.raises(EchLensError, match="^delta=-1/2 is not admissible"):
-            capacities.oracle_ints(B21, 2, -2, 4)
+            e.capacities_via_oracle(B21, 2, delta=(-2, 4))
         with pytest.raises(EchLensError, match="^delta=7/5 is not admissible"):
-            capacities.oracle_ints(B21, 2, 14, 10)
+            e.capacities_via_oracle(B21, 2, delta=(14, 10))
 
 
 class TestSampler:
@@ -746,8 +747,8 @@ class TestBijectivity:
                 e.index_bijectivity_check(2, a, b, 3)
 
     def test_int_core_equals_the_rational_check(self):
-        # the CLI's int core, ints over a common denominator that need not
-        # be the least, and Fractions give one certificate
+        # the CLI's int pairs over a common denominator that need not be the
+        # least, ints and Fractions give one certificate
         pairs = [(1, FIB), (3, 3), (Fraction(2, 3), Fraction(5, 7)), (Fraction(7, 4), 2)]
         for n in range(1, 5):
             for a, b in pairs:
@@ -756,7 +757,7 @@ class TestBijectivity:
                 assert expected[0]
                 d = 6 * Fraction(a).denominator * Fraction(b).denominator
                 ia, ib = int(a * d), int(b * d)
-                assert bijectivity.bijectivity_ints(n, ia, ib, d, layers) == expected
+                assert e.index_bijectivity_check(n, (ia, d), (ib, d), layers) == expected
                 assert e.index_bijectivity_check(n, Fraction(a), Fraction(b), layers) == expected
                 # the index reads b/a alone
                 assert e.index_bijectivity_check(n, ia, ib, layers) == expected
@@ -777,7 +778,7 @@ class TestBijectivity:
             assert str(exc.value) == message
             ia, ib, d = ellipsoid.ellipsoid_ints(n, a, b)
             with pytest.raises(ResourceLimit) as exc:
-                bijectivity.bijectivity_ints(n, 2 * ia, 2 * ib, 2 * d, layers)
+                e.index_bijectivity_check(n, (2 * ia, 2 * d), (2 * ib, 2 * d), layers)
             assert str(exc.value) == message
 
     def test_spectrum_reproduces_generator(self):
@@ -796,11 +797,11 @@ class TestBijectivity:
         # the closed form against the search, one layer at a time, it replaced
         seen = []
 
-        def certified(n, ia, ib, d, layers):
+        def certified(n, a, b, layers):
             seen.append(layers)
             return True, []
 
-        monkeypatch.setattr(bijectivity, "bijectivity_ints", certified)
+        monkeypatch.setattr(bijectivity, "index_bijectivity_check", certified)
         for n in range(1, 7):
             layers = 1
             for count in range(3001):
@@ -864,6 +865,26 @@ class TestEllipsoidParameters:
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
         assert done.returncode == 0
+
+
+# every entry that takes a rational reads it through one intake, which
+# refuses what is not an int, a Fraction or an int pair (p, q) with q > 0
+@pytest.mark.parametrize("bad", [1.5, "1/2", (1, 0), (1, -2), (1, 2, 3), (1.0, 2), None], ids=repr)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda bad: e.validate_domain(2, [(2, 1), (0, bad)]),
+        lambda bad: e.ellipsoid_sequence(1, bad, 1, 3),
+        lambda bad: e.capacities_via_oracle(B21, 3, bad),
+        lambda bad: e.index_bijectivity_check(2, 1, bad, 3),
+        lambda bad: e.ellipsoid_orbit_index(2, bad, 1, 2, 0),
+        lambda bad: e.spectrum_from_orbit_indices(2, 1, bad, 5),
+    ],
+    ids=["domain", "sequence", "oracle", "bijectivity", "orbit_index", "spectrum"],
+)
+def test_bad_rational_is_an_input_error(entry, bad):
+    with pytest.raises(EchLensError, match="is not an int, a Fraction or an int pair"):
+        entry(bad)
 
 
 class TestClosedFormUnion:
@@ -930,6 +951,13 @@ class TestStoredForm:
         assert (seq.ints, seq.scale) == ((0, 2, 3), 2)
         assert seq.values == (0, 1, Fraction(3, 2))
         assert seq[2] == Fraction(3, 2) and len(seq) == 3
+
+    def test_slices_are_the_values_slices(self):
+        seq = e.ellipsoid_sequence(2, 1, FIB, 12)
+        for k in (slice(1, 3), slice(None), slice(-4, None), slice(2, 11, 3), slice(None, None, -1),
+                  slice(9, 2, -2), slice(5, 5), slice(-1, -20, -4)):
+            assert seq[k] == seq.values[k]
+            assert all(type(v) is Fraction for v in seq[k])
 
     def test_of_round_trip(self):
         rng = random.Random(6)

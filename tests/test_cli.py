@@ -599,6 +599,21 @@ class TestIndex:
             code, out, _ = run(capsys, ["index", "orbit", str(path), flag, "1"])
             assert (code, out) == (0, expected)
 
+    def test_huge_multiplicity_on_the_ellipsoid_triangle(self, capsys, domain_file, tmp_path):
+        # milliseconds with the floor-sum kernel, where summing each rotation
+        # floor took about a second per 10^7; with the sign of phi_plus
+        # flipped, index orbit printed I = 690987124464712446351930
+        m = "1000000000000"
+        path = tmp_path / "e2.dom"
+        path.write_text("n = 2\nvertices = (2,1) (0,233/144)\n")
+        expected = (0, "I = 309012875537287553648070\n")
+        argv = ["index", "ellipsoid", "--n", "2", "--a", "1", "--b", "233/144", "--r", m, "--s", "0"]
+        assert run(capsys, argv)[:2] == expected
+        assert run(capsys, ["index", "orbit", str(path), "--m-plus", m])[:2] == expected
+        path_text = "start=(2,1); edges=[(-2,1)x1]; labels=[e]"
+        argv = ["index", "orbit", domain_file, "--m-plus", m, "--path", path_text]
+        assert run(capsys, argv)[0] == 0
+
     @pytest.mark.parametrize("labels", ["e,,", ",e"], ids=["trailing-empty", "leading-empty"])
     def test_empty_label_exit_2(self, capsys, domain_file, labels):
         text = f"start=(2,1); edges=[(-2,1)x1]; labels=[{labels}]"

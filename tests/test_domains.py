@@ -224,6 +224,19 @@ class TestParseDomainFile:
         with pytest.raises(ParseError):
             e.parse_domain_file("vertices = (2,1) (0,1)\n")
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [
+            ("n = 2\nvertices = \n", 11),
+            ("n = 2\nvertices =\n", 11),
+            ("n = 2\n  vertices =  \n", 13),
+        ],
+    )
+    def test_empty_vertices_reports_its_line(self, text, column):
+        with pytest.raises(ParseError, match="expected at least one vertex") as info:
+            e.parse_domain_file(text)
+        assert (info.value.line, info.value.column) == (2, column)
+
     def test_bad_vertex_reports_location(self):
         with pytest.raises(ParseError) as info:
             e.parse_domain_file("n = 2\nvertices = (2,1) (0,x)\n")

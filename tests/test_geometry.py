@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -44,6 +45,22 @@ class TestRationalText:
         assert geo.format_ratio(6, 4) == "3/2"
         assert geo.format_ratio(8, 4) == "2"
         assert geo.format_ratio(-1, 3) == "-1/3"
+
+
+class TestOverOneDenominator:
+    @given(st.lists(rationals, min_size=1, max_size=6))
+    def test_ints_fractions_and_pairs_agree(self, values):
+        ints, d = geo.over_one_denominator(values)
+        assert d == math.lcm(*(v.denominator for v in values))
+        assert [Fraction(i, d) for i in ints] == values
+        # pairs are put over the LCM of their own, unreduced, denominators
+        pairs = [(3 * v.numerator, 3 * v.denominator) for v in values]
+        assert geo.over_one_denominator(pairs) == ([3 * i for i in ints], 3 * d)
+        plain = [int(v) if v.denominator == 1 else v for v in values]
+        assert geo.over_one_denominator(plain) == (ints, d)
+
+    def test_nothing_is_over_one(self):
+        assert geo.over_one_denominator([]) == ([], 1)
 
 
 class TestFloorSum:
