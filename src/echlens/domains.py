@@ -3,8 +3,9 @@
 A domain is described by the vertex chain of its upper boundary, traversed
 from the endpoint on the (n,1)-ray to the endpoint on the y-axis.  A
 ConcaveDomain checks its chain when it is built, so every route can trust
-it; this module also parses domain files and measures area.  A chain is
-stored, and a domain file parsed, as int vertices over one denominator.
+it; this module also owns the domain-file format, its point syntax
+included, and measures area.  A chain is stored, and a domain file parsed,
+as int vertices over one denominator.
 Edge lengths are priced by the oracle route (capacities_via_oracle in
 capacities.py), and the rotation numbers of the exceptional orbits, which
 serve only the index formulas, are read in bijectivity.py.
@@ -12,6 +13,7 @@ serve only the index formulas, are read in bijectivity.py.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 
 from . import geometry as geo
@@ -49,12 +51,24 @@ class ConcaveDomain(Record):
 def validate_domain(n: int, vertices) -> ConcaveDomain:
     """Validate a chain of rational vertices (x, y), put over_one_denominator,
     raising the first violated invariant."""
+    vertices = list(vertices)
+    for v in vertices:
+        if not _is_pair(v, object):
+            raise EchLensError(f"vertex {v!r} is not a pair (x, y)")
     coords, scale = geo.over_one_denominator(c for x, y in vertices for c in (x, y))
     return ConcaveDomain(n, list(zip(coords[::2], coords[1::2])), scale)
 
 
+def _is_pair(v, kind) -> bool:
+    # whether v is a tuple or list of two `kind`s
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(isinstance(c, kind) for c in v)
+
+
 def _check_chain(n: int, verts, scale: int):
     # raise the first invariant that the int chain over `scale` violates
+    for v in verts:
+        if not _is_pair(v, int):
+            raise EchLensError(f"vertex {v!r} is not a pair of ints")
     if len(verts) < 2:
         raise EchLensError("boundary needs at least two vertices")
     fmt = geo.format_point
@@ -94,15 +108,33 @@ def domain_area(domain: ConcaveDomain):
     return Fraction(_twice_area(domain), 2 * domain.scale**2)
 
 
+def _parse_point(text: str, line: int, col: int):
+    """Parse the token `(x,y)` at column `col` into two parse_ratio pairs;
+    an error names the column of the faulty text."""
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ParseError(f"expected (x,y), got {text!r}", line, col)
+    parts = text[1:-1].split(",")
+    if len(parts) != 2:
+        raise ParseError(f"expected two comma-separated coordinates in {text!r}", line, col)
+    x, y = parts
+    coords = []
+    for offset, part in ((1, x), (len(x) + 2, y)):
+        try:
+            coords.append(geo.parse_ratio(part))
+        except ValueError:
+            raise ParseError(f"bad rational {part!r}", line, col + offset) from None
+    return tuple(coords)
+
+
 def parse_domain_file(text: str) -> ConcaveDomain:
     """Parse the line-based domain description format.
 
     line 1: ``n = <positive integer>``
     line 2: ``vertices = (x1,y1) (x2,y2) ...``
-    Blank lines and ``#`` comments are ignored; each key appears once.
+    Blank lines and ``#`` comments are ignored; each key appears once.  A
+    parse error names the line and column of the faulty text.
     """
-    n = None
-    vertices = None
+    fields = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -110,33 +142,26 @@ def parse_domain_file(text: str) -> ConcaveDomain:
         if "=" not in line:
             raise ParseError("expected `name = value`", lineno, 1)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        col = raw.index("=") + 2
-        if (key == "n" and n is not None) or (key == "vertices" and vertices is not None):
+        key, value = key.strip(), value.strip()
+        # the value's own column; an empty value's is the one after `=`
+        col = raw.find(value, raw.index("=") + 1) + 1
+        if key in fields:
             raise ParseError(f"repeated key {key!r}", lineno, 1)
         if key == "n":
             try:
-                n = int(value)
+                n = fields[key] = int(value)
             except ValueError:
                 raise ParseError(f"bad integer {value!r}", lineno, col) from None
             if n < 1:
                 raise ParseError(f"n must be positive, got {n}", lineno, col)
         elif key == "vertices":
-            vertices = []
-            cursor = col
-            for token in value.split(" "):
-                if not token:
-                    cursor += 1
-                    continue
-                vertices.append(geo.parse_point(token, lineno, cursor))
-                cursor += len(token) + 1
-            if not vertices:
+            tokens = re.finditer(r"[^ ]+", value)
+            fields[key] = [_parse_point(t[0], lineno, col + t.start()) for t in tokens]
+            if not fields[key]:
                 raise ParseError("expected at least one vertex (x,y)", lineno, col)
         else:
             raise ParseError(f"unknown key {key!r}", lineno, 1)
-    if n is None:
-        raise ParseError("missing `n = ...` line", 1, 1)
-    if vertices is None:
-        raise ParseError("missing `vertices = ...` line", 1, 1)
-    return validate_domain(n, vertices)
+    for key in ("n", "vertices"):
+        if key not in fields:
+            raise ParseError(f"missing `{key} = ...` line", 1, 1)
+    return validate_domain(fields["n"], fields["vertices"])

@@ -1,4 +1,4 @@
-"""Exact 2D primitives: rational scalars, cross products, cone tests, parsing.
+"""Exact 2D primitives: rational scalars, cross products, cone tests, rational syntax.
 
 Rationals are parsed to, and printed from, int pairs (p, q) with q > 0, and
 read, in any form the library takes, by over_one_denominator.  Nothing rounds.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from .errors import EchLensError, ParseError
+from .errors import EchLensError
 
 # Points and lattice vectors are plain (x, y) pairs.
 
@@ -97,22 +97,3 @@ def is_primitive(v) -> bool:
 def vec_sub(u, v):
     return (u[0] - v[0], u[1] - v[1])
 
-
-def parse_point(text: str, line: int, col: int):
-    """Parse `(x,y)` with rational coordinates into two parse_ratio pairs;
-    errors carry line/column."""
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"expected (x,y), got {text!r}", line, col)
-    body = text[1:-1]
-    parts = body.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"expected two comma-separated coordinates in {text!r}", line, col)
-    coords = []
-    offset = 1
-    for part in parts:
-        try:
-            coords.append(parse_ratio(part))
-        except ValueError:
-            raise ParseError(f"bad rational {part!r}", line, col + offset) from None
-        offset += len(part) + 1
-    return (coords[0], coords[1])

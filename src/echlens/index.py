@@ -16,7 +16,7 @@ from math import gcd
 
 from . import geometry as geo
 from .bijectivity import _end_rotations, _rotation_sum
-from .domains import ConcaveDomain, _check_chain
+from .domains import ConcaveDomain, _check_chain, _is_pair
 from .errors import EchLensError
 from .paths import IntegralPath, empty_path, lattice_count
 from .record import Record
@@ -32,7 +32,12 @@ def make_path(n: int, start, edges) -> IntegralPath:
     boundary chain of V_n (so it starts at M*(n,1) with M > 0)."""
     if n < 1:
         raise EchLensError(f"n must be positive, got {n}")
-    for d, m in edges:
+    if not _is_pair(start, int):
+        raise EchLensError(f"start {start!r} is not a pair of ints")
+    for edge in edges:
+        if not (_is_pair(edge, object) and _is_pair(edge[0], int) and isinstance(edge[1], int)):
+            raise EchLensError(f"edge {edge!r} is not ((dx, dy), m) of ints")
+        d, m = edge
         if not geo.is_primitive(d):
             raise EchLensError(f"direction {geo.format_point(d)} is not primitive")
         if m < 1:

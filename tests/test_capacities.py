@@ -532,6 +532,10 @@ class TestEllipsoidOrbitIndex:
         expected = 2 * k * (k + 1) + 2 * k + 2 * floors
         assert expected == 309012875537287553648070
         assert e.ellipsoid_orbit_index(2, 1, FIB, r, 0) == expected
+        # one index formula: the general one on the triangle agrees here too
+        triangle = e.validate_domain(2, [(2, 1), (0, FIB)])
+        empty = e.ConcaveGenerator(path=e.empty_path(2), labels=())
+        assert e.orbit_set_index(triangle, empty, r, 0) == expected
 
 
 class TestOrbitSetIndex:

@@ -327,7 +327,8 @@ class TestDomain:
         bad.write_text(f"n = 2\nvertices = ({text},1) (0,1)\n")
         code, _, err = run(capsys, ["domain", str(bad), "--kmax", "2"])
         assert code == 2
-        assert err == f"error: line 2, column 12: bad rational '{text}'\n"
+        # the column of the faulty text itself, after `vertices = (`
+        assert err == f"error: line 2, column 13: bad rational '{text}'\n"
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "latin1.dom"

@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 import echlens as e
+from echlens import domains
 from echlens.checks import DEFAULT_SEED
 from echlens.errors import EchLensError, ParseError
 from helpers import (
@@ -114,6 +116,34 @@ class TestConstructor:
                 built += 1
         assert 100 < built < 2900
 
+    @pytest.mark.parametrize(
+        "build, args, message",
+        [
+            (e.validate_domain, (2, [(2, 1, 0), (0, 1)]), "vertex (2, 1, 0) is not a pair (x, y)"),
+            (e.validate_domain, (2, [(2, 1), 5]), "vertex 5 is not a pair (x, y)"),
+            (e.validate_domain, (2, [(0,), (0, 1)]), "vertex (0,) is not a pair (x, y)"),
+            (e.ConcaveDomain, (2, ((2, 1, 0), (0, 1)), 1), "vertex (2, 1, 0) is not a pair of ints"),
+            (e.ConcaveDomain, (2, ((2.0, 1), (0, 1)), 1), "vertex (2.0, 1) is not a pair of ints"),
+            (e.path_from_vertices, (2, [(2, 1, 0), (0, 2)]), "start (2, 1, 0) is not a pair of ints"),
+            (e.make_path, (2, 5, ()), "start 5 is not a pair of ints"),
+            (
+                e.make_path,
+                (2, (2, 1), [((-2, 1), 1, 5)]),
+                "edge ((-2, 1), 1, 5) is not ((dx, dy), m) of ints",
+            ),
+            (
+                e.make_path,
+                (2, (2, 1), [((-2, 1.0), 1)]),
+                "edge ((-2, 1.0), 1) is not ((dx, dy), m) of ints",
+            ),
+        ],
+    )
+    def test_refuses_a_malformed_vertex_or_edge(self, build, args, message):
+        # each raised ValueError or TypeError, or built a path from (2, 1, 0)
+        with pytest.raises(EchLensError) as info:
+            build(*args)
+        assert str(info.value) == message
+
 
 class TestEdgeLength:
     # the Fraction reference that the oracle's int pricing is checked against
@@ -210,6 +240,37 @@ class TestGeometryQueries:
         assert e.domain_area(EXAMPLE) == Fraction(9, 2)
 
 
+class TestParsePoint:
+    def test_valid(self):
+        assert domains._parse_point("(3/2,-1)", 1, 1) == ((3, 2), (-1, 1))
+
+    @pytest.mark.parametrize("text", ["3,4", "(3;4)", "(3,4,5)", "(a,1)"])
+    def test_invalid(self, text):
+        with pytest.raises(ParseError) as info:
+            domains._parse_point(text, 5, 9)
+        assert info.value.line == 5
+
+    def test_error_column_points_at_bad_coordinate(self):
+        with pytest.raises(ParseError) as info:
+            domains._parse_point("(1,x)", 2, 10)
+        assert info.value.line == 2
+        assert info.value.column == 13  # opening paren + "1," before the bad token
+
+
+SPACES = ("", " ", "  ")
+MALFORMED_LINES = [
+    *(f"n{a}={b}x" for a in SPACES for b in SPACES),
+    *(f"vertices{a}={b}(x,1) (0,1)" for a in SPACES for b in SPACES),
+    "  n = 2/1",
+    "\tvertices = (2,1) (0,y)",
+    "vertices = (2,1)  (0,y)",
+    "   vertices =  (2,y)  (0,1)",
+    "vertices = (2,1)  (0 ,1)",
+    "vertices = (2,1) (0,1)  (0,1,2)",
+    "vertices = (2,1) 0,1)",
+]
+
+
 class TestParseDomainFile:
     def test_valid(self):
         text = "# comment\nn = 2\n\nvertices = (6,3) (3,2) (0,2)\n"
@@ -236,6 +297,14 @@ class TestParseDomainFile:
         with pytest.raises(ParseError, match="expected at least one vertex") as info:
             e.parse_domain_file(text)
         assert (info.value.line, info.value.column) == (2, column)
+
+    @pytest.mark.parametrize("raw", MALFORMED_LINES)
+    def test_error_column_is_the_faulty_texts(self, raw):
+        with pytest.raises(ParseError) as info:
+            e.parse_domain_file(f"# one malformed line\n{raw}\n")
+        named = re.search(r"'(.+)'", str(info.value))[1]
+        assert info.value.line == 2
+        assert raw[info.value.column - 1 :].startswith(named)
 
     def test_bad_vertex_reports_location(self):
         with pytest.raises(ParseError) as info:

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from echlens import geometry as geo
-from echlens.errors import ParseError
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=97
@@ -124,19 +123,3 @@ class TestPrimitive:
         assert not geo.is_primitive((-2, 2))
         assert not geo.is_primitive((0, 0))
 
-
-class TestParsePoint:
-    def test_valid(self):
-        assert geo.parse_point("(3/2,-1)", 1, 1) == ((3, 2), (-1, 1))
-
-    @pytest.mark.parametrize("text", ["3,4", "(3;4)", "(3,4,5)", "(a,1)"])
-    def test_invalid(self, text):
-        with pytest.raises(ParseError) as info:
-            geo.parse_point(text, 5, 9)
-        assert info.value.line == 5
-
-    def test_error_column_points_at_bad_coordinate(self):
-        with pytest.raises(ParseError) as info:
-            geo.parse_point("(1,x)", 2, 10)
-        assert info.value.line == 2
-        assert info.value.column == 13  # opening paren + "1," before the bad token

@@ -295,3 +295,24 @@ def test_each_exit_code_is_one_exception_type():
             caught |= {node.id for node in types if isinstance(node, ast.Name)}
     assert caught == {"BrokenPipeError", "ResourceLimit", "EchLensError", "OSError",
                       "AssertionError"}
+
+
+def test_parse_error_is_raised_only_in_domains():
+    # the domain-file format, points included, lives in domains.py alone
+    package = os.path.join(SRC, "echlens")
+    raising = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == "ParseError":
+                        raising.add(name)
+            if name == "geometry.py":
+                imported = {alias.name for node in ast.walk(tree)
+                            if isinstance(node, (ast.Import, ast.ImportFrom))
+                            for alias in node.names}
+    assert raising == {"domains.py"}
+    assert "ParseError" not in imported
